@@ -1,7 +1,8 @@
 """Command-line interface: every library operation behind a stable verb set.
 
 Exit codes: 0 success or affirmative result, 1 negative result (no
-embedding, not metrizable, not universal, ...), 2 input or usage error.
+embedding, not metrizable, not universal, ...), 2 input or usage error,
+3 internal error (a check the theory guarantees failed: a library bug).
 Reports go to stdout as JSON (sorted keys; exact values as "p/q" strings),
 diagnostics to stderr.
 """
@@ -9,6 +10,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -23,7 +25,7 @@ from .between import (
     pl_labeling,
 )
 from .embed import Comparability, classify_space, compare, find_embeddings, is_not_shifted
-from .errors import InputFormatError, InvalidMetricError, MsuError
+from .errors import InputFormatError, InternalCheckError, InvalidMetricError, MsuError
 from .families import (
     embed_quasiorder,
     is_minimal_universal_space,
@@ -81,6 +83,12 @@ from .unions import (
 )
 
 
+def _check_tol(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise InputFormatError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def _space_tol(args: argparse.Namespace) -> float:
     return args.tol if args.tol is not None else DEFAULT_TOL
 
@@ -91,9 +99,10 @@ def _eps_geo(args: argparse.Namespace) -> float:
     env = os.environ.get("MSU_TOL")
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError as exc:
             raise InputFormatError(f"MSU_TOL={env!r} is not a number") from exc
+        return _check_tol("MSU_TOL", value)
     return EPS_GEO
 
 
@@ -664,10 +673,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("tol", "solver_tol"):
+            value = getattr(args, flag, None)
+            if value is not None:
+                _check_tol("--" + flag.replace("_", "-"), value)
         code, payload = args.handler(args)
     except MsuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if payload is not None:
         print(dump_report(payload, pretty=args.pretty))
     return code

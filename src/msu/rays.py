@@ -354,42 +354,6 @@ def witness_triangle_two_rays(z: RayPoint, alpha: float) -> Triangle:
     return Triangle(chord, base, chord)
 
 
-def _vdc(index: int, base: int) -> float:
-    x = 0.0
-    f = 1.0 / base
-    n = index
-    while n:
-        x += (n % base) * f
-        n //= base
-        f /= base
-    return x
-
-
-def _solve3(
-    m: list[list[float]], rhs: list[float]
-) -> Optional[list[float]]:
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    scale = max(max(abs(v) for v in row[:3]) for row in a)
-    if scale == 0:
-        return None
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-13 * scale:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, 3):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, 4):
-                    a[r][c] -= f * a[col][c]
-    x = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        s = a[r][3] - sum(a[r][c] * x[c] for c in range(r + 1, 3))
-        x[r] = s / a[r][r]
-    return x
-
-
 def solve_constrained_embedding(
     tri: TriangleLike,
     rays: RaySpace,
@@ -397,69 +361,157 @@ def solve_constrained_embedding(
     tol: float = SOLVER_TOL,
     eps_geo: float = EPS_GEO,
 ) -> list[list[RayPoint]]:
-    """All found placements of a triangle on a ray union, minus exclusions.
+    """All placements of a triangle on a ray union, minus exclusions.
 
-    Every vertex-to-ray assignment is tried; each yields three polynomial
-    distance equations solved by damped Newton iteration from 64 fixed
-    low-discrepancy starting points.  Roots are kept when the planar
-    distances check out, every coordinate is admissible for the origin
-    rule, and no image point comes within tol of a forbidden point.
-    An empty result is a statement about this search budget, not a proof.
+    Every vertex-to-ray assignment is solved in closed form: two vertices
+    on one ray leave one square root, three distinct rays one
+    inscribed-angle construction, and a flat triple on one ray a sliding
+    continuum.  A continuum is listed by representatives: per ray and end
+    order of a flat triple, the near end at 0 (origin included) or 0.5
+    (2 * tol if larger), moved outward to the nearest offset that clears every forbidden point
+    by 2 * tol; on a circumcircle, the midpoint of each arc.  Flat triples
+    straddling two opposite rays are not listed; they always have one-ray
+    placements as well.  Roots are kept when the planar distances check
+    out, every coordinate is admissible for the origin rule, and no image
+    point comes within tol of a forbidden point.  An empty result means
+    no placement exists.
     """
     pair = _pair_distances(tri)
     pairs = [(0, 1, pair[0]), (0, 2, pair[1]), (1, 2, pair[2])]
-    diam = max(pair)
-    box = 1.5 * diam
-    scale_sq = max(1.0, diam * diam)
-    k = len(rays.angles)
-    cosg = [
-        [math.cos(rays.angles[i] - rays.angles[j]) for j in range(k)]
-        for i in range(k)
-    ]
-    fpts = [(rays.planar(f), f) for f in forbidden]
+    flat = _is_flat(pair)
+    fpts = [rays.planar(f) for f in forbidden]
 
     results: list[list[RayPoint]] = []
-    for assign in product(range(k), repeat=3):
-        kept: list[tuple[float, float, float]] = []
-        for s_idx in range(1, 65):
-            start = (
-                box * _vdc(s_idx, 2),
-                box * _vdc(s_idx, 3),
-                box * _vdc(s_idx, 5),
-            )
-            root = _newton_root(start, assign, pairs, cosg, scale_sq, box)
-            if root is None:
+    for assign in product(range(len(rays.angles)), repeat=3):
+        theta = [rays.angles[a] for a in assign]
+        if len(set(assign)) == 3:
+            roots = _three_ray_roots(pair, theta, rays.include_origin)
+        elif len(set(assign)) == 2:
+            roots = _two_ray_roots(pair, assign, theta, flat)
+        elif flat:
+            roots = _one_ray_roots(pair, theta[0], fpts, rays.include_origin, tol)
+        else:
+            roots = []
+        kept: list[tuple[float, ...]] = []
+        for root in roots:
+            if min(root) < -tol:
                 continue
-            ts = []
-            bad = False
-            for t in root:
-                if t < -tol:
-                    bad = True
-                    break
-                t = max(t, 0.0)
-                if not rays.include_origin and t <= tol:
-                    bad = True
-                    break
-                ts.append(t)
-            if bad:
+            ts = tuple(max(t, 0.0) for t in root)
+            if not rays.include_origin and min(ts) <= tol:
                 continue
             pts = [RayPoint(assign[v], ts[v]) for v in range(3)]
             if not _distances_ok(rays, pts, pairs, eps_geo):
                 continue
-            ppts = [rays.planar(p) for p in pts]
-            if any(
-                math.hypot(px - fx, py - fy) < tol
-                for px, py in ppts
-                for (fx, fy), _ in fpts
-            ):
+            if any(math.dist(rays.planar(p), f) < tol for p in pts for f in fpts):
                 continue
-            key = (ts[0], ts[1], ts[2])
-            if any(max(abs(key[i] - old[i]) for i in range(3)) <= tol for old in kept):
+            if any(max(abs(ts[i] - old[i]) for i in range(3)) <= tol for old in kept):
                 continue
-            kept.append(key)
+            kept.append(ts)
         for key in sorted(kept):
             results.append([RayPoint(assign[v], key[v]) for v in range(3)])
     return results
+
+
+def _two_ray_roots(
+    pair: tuple[float, float, float],
+    assign: tuple[int, ...],
+    theta: list[float],
+    flat: bool,
+) -> list[tuple[float, ...]]:
+    """Vertices i, j share a ray, k takes another: at most two roots.
+
+    With t_j = t_i + sigma * d_ij, the law-of-cosines equations for d_ik
+    and d_jk differ by t_i - c * t_k = a, and then d_ik^2 = a^2 + s^2 t_k^2.
+    A flat triple lies along the shared ray, which meets another ray only
+    at the origin.
+    """
+    i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if assign[i] == assign[j])
+    k = 3 - i - j
+    d_ij, d_ik, d_jk = _dist_of(pair, i, j), _dist_of(pair, i, k), _dist_of(pair, j, k)
+    c = math.cos(theta[i] - theta[k])
+    s = abs(math.sin(theta[i] - theta[k]))
+    roots = []
+    for sigma in (1.0, -1.0):
+        a = sigma * ((d_jk * d_jk - d_ik * d_ik) / d_ij - d_ij) / 2
+        t_k = 0.0 if flat else math.sqrt(max((d_ik - a) * (d_ik + a), 0.0)) / s
+        ts = [t_k, t_k, t_k]
+        ts[i] = a + c * t_k
+        ts[j] = ts[i] + sigma * d_ij
+        roots.append(tuple(ts))
+    return roots
+
+
+def _three_ray_roots(
+    pair: tuple[float, float, float], theta: list[float], include_origin: bool
+) -> list[tuple[float, ...]]:
+    """Each vertex on its own ray: the origin as an inscribed-angle point.
+
+    In a frame with v0 = (0, 0) and v1 on the x axis, the origin sees the
+    chord v0 v_m under the directed angle theta_m - theta_0, so it lies on
+    the circle through v0 and v_m centred at (v_m + cot(angle) rot90(v_m)) / 2.
+    Both circles pass through v0, so the origin is the mirror image of v0
+    in the line through their centres.  When the circles coincide it may
+    roam their common circle, the circumcircle; its arc midpoints stand for
+    that continuum.
+    """
+    d01, d02, d12 = pair
+    roots = [(0.0, d01, d02), (d01, 0.0, d12), (d02, d12, 0.0)] if include_origin else []
+    x2 = (d01 * d01 + d02 * d02 - d12 * d12) / (2 * d01)
+    h = 2 * _triangle_area(pair) / d01
+    for y2 in (h, -h):
+        verts = ((0.0, 0.0), (d01, 0.0), (x2, y2))
+        (ax, ay), (bx, by) = [
+            ((vx - vy / math.tan(beta)) / 2, (vy + vx / math.tan(beta)) / 2)
+            for (vx, vy), beta in zip(verts[1:], (theta[1] - theta[0], theta[2] - theta[0]))
+        ]
+        dx, dy = bx - ax, by - ay
+        radius = math.hypot(ax, ay)
+        norm = math.hypot(dx, dy)
+        if norm > 1e-9 * radius:
+            lam = -(ax * dx + ay * dy) / (norm * norm)
+            origins = [(2 * (ax + lam * dx), 2 * (ay + lam * dy))]
+        else:
+            origins = []
+            for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                (px, py), (qx, qy), (rx, ry) = verts[p], verts[q], verts[r]
+                nx, ny = py - qy, qx - px
+                if nx * (rx - px) + ny * (ry - py) > 0:
+                    nx, ny = -nx, -ny
+                scale = radius / math.hypot(nx, ny)
+                origins.append((ax + nx * scale, ay + ny * scale))
+        roots.extend(tuple(math.dist(v, o) for v in verts) for o in origins)
+    return roots
+
+
+def _one_ray_roots(
+    pair: tuple[float, float, float],
+    theta: float,
+    fpts: list[tuple[float, float]],
+    include_origin: bool,
+    tol: float,
+) -> list[tuple[float, ...]]:
+    """A flat triple on one ray: one representative per end order."""
+    mid = 2 - max(range(3), key=lambda s: pair[s])
+    ends = [v for v in range(3) if v != mid]
+    ux, uy = math.cos(theta), math.sin(theta)
+    # Each forbidden point as (position along the ray's line, distance off it).
+    along = [(fx * ux + fy * uy, abs(fx * uy - fy * ux)) for fx, fy in fpts]
+    roots = []
+    for near, far in (ends, ends[::-1]):
+        offs = [0.0, 0.0, 0.0]
+        offs[mid] = _dist_of(pair, near, mid)
+        offs[far] = _dist_of(pair, near, far)
+        s = 0.0 if include_origin else max(0.5, 2 * tol)
+        moved = any(math.hypot(s + u - x, h) < tol for x, h in along for u in offs)
+        while moved:
+            moved = False
+            for x, h in along:
+                w = math.sqrt(max(4 * tol * tol - h * h, 0.0))
+                for u in offs:
+                    if abs(s + u - x) < w and x + w - u > s:
+                        s, moved = x + w - u, True
+        roots.append(tuple(s + u for u in offs))
+    return roots
 
 
 def _distances_ok(
@@ -473,63 +525,3 @@ def _distances_ok(
         if abs(got - want) > eps_geo * max(1.0, want):
             return False
     return True
-
-
-def _newton_root(
-    start: tuple[float, float, float],
-    assign: tuple[int, ...],
-    pairs: list[tuple[int, int, float]],
-    cosg: list[list[float]],
-    scale_sq: float,
-    box: float,
-) -> Optional[tuple[float, float, float]]:
-    t = list(start)
-    target = 1e-12 * scale_sq
-
-    def residual(v: list[float]) -> list[float]:
-        out = []
-        for i, j, d in pairs:
-            if assign[i] == assign[j]:
-                gap = v[i] - v[j]
-                out.append(gap * gap - d * d)
-            else:
-                cg = cosg[assign[i]][assign[j]]
-                out.append(v[i] * v[i] + v[j] * v[j] - 2 * v[i] * v[j] * cg - d * d)
-        return out
-
-    f = residual(t)
-    phi = f[0] * f[0] + f[1] * f[1] + f[2] * f[2]
-    for _ in range(60):
-        if max(abs(x) for x in f) <= target:
-            return (t[0], t[1], t[2])
-        jac = [[0.0, 0.0, 0.0] for _ in range(3)]
-        for row, (i, j, _d) in enumerate(pairs):
-            if assign[i] == assign[j]:
-                gap = 2 * (t[i] - t[j])
-                jac[row][i] = gap
-                jac[row][j] = -gap
-            else:
-                cg = cosg[assign[i]][assign[j]]
-                jac[row][i] = 2 * t[i] - 2 * t[j] * cg
-                jac[row][j] = 2 * t[j] - 2 * t[i] * cg
-        step = _solve3(jac, [-x for x in f])
-        if step is None:
-            return None
-        lam = 1.0
-        improved = False
-        for _half in range(30):
-            cand = [t[0] + lam * step[0], t[1] + lam * step[1], t[2] + lam * step[2]]
-            fc = residual(cand)
-            phic = fc[0] * fc[0] + fc[1] * fc[1] + fc[2] * fc[2]
-            if phic < phi:
-                t, f, phi = cand, fc, phic
-                improved = True
-                break
-            lam /= 2
-        if not improved:
-            return None
-        if max(abs(x) for x in t) > 1e9 * box:
-            return None
-    if max(abs(x) for x in f) <= target:
-        return (t[0], t[1], t[2])
-    return None

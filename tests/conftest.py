@@ -1,7 +1,8 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+import math
 import random
 
 import msu
@@ -162,3 +163,128 @@ def cycle_weight_oracle(n, edges):
             if 2 * lookup[(ring[t], ring[t + 1])] > total:
                 return False
     return True
+
+
+def _vdc(index, base):
+    x, f, n = 0.0, 1.0 / base, index
+    while n:
+        x += (n % base) * f
+        n //= base
+        f /= base
+    return x
+
+
+def _solve3(m, rhs):
+    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
+    scale = max(max(abs(v) for v in row[:3]) for row in a)
+    if scale == 0:
+        return None
+    for col in range(3):
+        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) < 1e-13 * scale:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1.0 / a[col][col]
+        for r in range(col + 1, 3):
+            f = a[r][col] * inv
+            if f:
+                for c in range(col, 4):
+                    a[r][c] -= f * a[col][c]
+    x = [0.0, 0.0, 0.0]
+    for r in (2, 1, 0):
+        s = a[r][3] - sum(a[r][c] * x[c] for c in range(r + 1, 3))
+        x[r] = s / a[r][r]
+    return x
+
+
+def _newton_root(start, rows, scale_sq, box):
+    """Damped Newton on rows (i, j, cos of the ray gap or None for a shared ray, d^2)."""
+    t = list(start)
+    target = 1e-12 * scale_sq
+
+    def residual(v):
+        return [
+            (v[i] - v[j]) * (v[i] - v[j]) - dd
+            if cg is None
+            else v[i] * v[i] + v[j] * v[j] - 2 * v[i] * v[j] * cg - dd
+            for i, j, cg, dd in rows
+        ]
+
+    f = residual(t)
+    phi = f[0] * f[0] + f[1] * f[1] + f[2] * f[2]
+    for _ in range(60):
+        if max(abs(x) for x in f) <= target:
+            return (t[0], t[1], t[2])
+        jac = [[0.0, 0.0, 0.0] for _ in range(3)]
+        for row, (i, j, cg, _dd) in enumerate(rows):
+            if cg is None:
+                gap = 2 * (t[i] - t[j])
+                jac[row][i] = gap
+                jac[row][j] = -gap
+            else:
+                jac[row][i] = 2 * t[i] - 2 * t[j] * cg
+                jac[row][j] = 2 * t[j] - 2 * t[i] * cg
+        step = _solve3(jac, [-x for x in f])
+        if step is None:
+            return None
+        lam = 1.0
+        for _half in range(30):
+            cand = [t[0] + lam * step[0], t[1] + lam * step[1], t[2] + lam * step[2]]
+            fc = residual(cand)
+            phic = fc[0] * fc[0] + fc[1] * fc[1] + fc[2] * fc[2]
+            if phic < phi:
+                t, f, phi = cand, fc, phic
+                break
+            lam /= 2
+        else:
+            return None
+        if max(abs(x) for x in t) > 1e9 * box:
+            return None
+    if max(abs(x) for x in f) <= target:
+        return (t[0], t[1], t[2])
+    return None
+
+
+def newton_placements(tri, rays, forbidden=(), tol=1e-6, eps_geo=1e-9):
+    """Placements found by damped Newton from 64 fixed starts per assignment.
+
+    The multistart search that preceded the closed-form solver, kept as an
+    independent oracle: every root it finds is a genuine placement, but it
+    can miss some (flat triples, singular Jacobians).
+    """
+    d01, d02, d12 = (tri.c, tri.b, tri.a)
+    pairs = [(0, 1, d01), (0, 2, d02), (1, 2, d12)]
+    diam = max(d01, d02, d12)
+    box = 1.5 * diam
+    scale_sq = max(1.0, diam * diam)
+    k = len(rays.angles)
+    cosg = [[math.cos(rays.angles[i] - rays.angles[j]) for j in range(k)] for i in range(k)]
+    starts = [tuple(box * _vdc(s_idx, b) for b in (2, 3, 5)) for s_idx in range(1, 65)]
+    fpts = [rays.planar(f) for f in forbidden]
+    results = []
+    for assign in product(range(k), repeat=3):
+        rows = [
+            (i, j, None if assign[i] == assign[j] else cosg[assign[i]][assign[j]], d * d)
+            for i, j, d in pairs
+        ]
+        kept = []
+        for start in starts:
+            root = _newton_root(start, rows, scale_sq, box)
+            if root is None or min(root) < -tol:
+                continue
+            ts = [max(t, 0.0) for t in root]
+            if not rays.include_origin and min(ts) <= tol:
+                continue
+            pts = [msu.RayPoint(assign[v], ts[v]) for v in range(3)]
+            if any(
+                abs(rays.point_distance(pts[i], pts[j]) - d) > eps_geo * max(1.0, d)
+                for i, j, d in pairs
+            ):
+                continue
+            if any(math.dist(rays.planar(p), f) < tol for p in pts for f in fpts):
+                continue
+            if any(max(abs(ts[i] - old[i]) for i in range(3)) <= tol for old in kept):
+                continue
+            kept.append(tuple(ts))
+        results.extend([msu.RayPoint(assign[v], key[v]) for v in range(3)] for key in sorted(kept))
+    return results

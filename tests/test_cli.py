@@ -196,6 +196,30 @@ def test_xalpha_embed_and_none(files, capsys):
     assert code == 1 and json.loads(out)["points"] is None
 
 
+def test_internal_error_exit_three(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"sides": [3.1, 4.7, 5.3]}))
+    code, out, err = run(capsys, ["tripod", "embed", str(path), "--tol", "1e-300"])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_bad_tolerance_exit_two(files, capsys, value):
+    for argv in (
+        ["xalpha", "check", files["eqtri"], "--alpha", "0.5", "--tol", value],
+        ["tripod", "check", files["eqtri"], "--solver-tol", value],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "must be finite and positive" in err
+
+
+def test_bad_msu_tol_exit_two(files, capsys, monkeypatch):
+    monkeypatch.setenv("MSU_TOL", "-1")
+    code, out, err = run(capsys, ["tripod", "embed", files["eqtri"]])
+    assert code == 2 and out == "" and "MSU_TOL" in err
+
+
 def test_f2_verbs(capsys):
     code, out, _ = run(capsys, ["f2", "embed", "--t", "5/2"])
     assert code == 0

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import msu
+from conftest import newton_placements
 
 RT3 = math.sqrt(3)
 TRIPOD = msu.RaySpace.tripod()
@@ -236,3 +237,81 @@ def test_solver_respects_origin_exclusion():
     sols = msu.solve_constrained_embedding(msu.Triangle(2.0, 3.0, 1.0), rays, forbidden=[])
     for sol in sols:
         assert all(p.t > 0 for p in sol)
+
+
+def on_circle_through_origin(angles, centre):
+    """Triangle whose vertices sit where the rays cross a circle through the origin."""
+    cx, cy = centre
+    ts = [2 * (cx * math.cos(a) + cy * math.sin(a)) for a in angles]
+    xy = [(t * math.cos(a), t * math.sin(a)) for t, a in zip(ts, angles)]
+    return msu.Triangle(math.dist(xy[1], xy[2]), math.dist(xy[0], xy[2]), math.dist(xy[0], xy[1]))
+
+
+def remeasure(angles, sol):
+    xy = [(p.t * math.cos(angles[p.ray]), p.t * math.sin(angles[p.ray])) for p in sol]
+    return [math.dist(xy[i], xy[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def test_solver_contains_every_newton_placement():
+    rng = random.Random(31)
+    # An oracle call takes 0.1-1.5 s, so one triangle per ray space.
+    spaces = [TRIPOD] + [msu.RaySpace.two_rays(a) for a in (math.pi / 6, math.pi / 4, 2.2)]
+    spaces += [msu.RaySpace((0.0, 0.9, 2.0, 4.1), flag) for flag in (True, False)]
+    for rays in spaces:
+        while True:
+            pts = [(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(3)]
+            sides = (math.dist(pts[1], pts[2]), math.dist(pts[0], pts[2]), math.dist(pts[0], pts[1]))
+            tri = msu.Triangle(*sides)
+            if min(sides) > 0.1 and not tri.is_degenerate():
+                break
+        closed = msu.solve_constrained_embedding(tri, rays)
+        for sol in newton_placements(tri, rays):
+            assert any(
+                all(p.ray == q.ray and abs(p.t - q.t) <= 1e-6 for p, q in zip(sol, cand))
+                for cand in closed
+            ), (rays, sides, sol)
+        for sol in closed:
+            assert all(p.t >= 0 and (rays.include_origin or p.t > 0) for p in sol)
+            for got, want in zip(remeasure(rays.angles, sol), tri_dists(tri)):
+                assert rel_close(got, want), (rays, sides, sol)
+
+
+@pytest.mark.parametrize("sides", [(1, 1, 2), (2, 2, 4)])
+def test_solver_flat_triple_on_two_rays_uses_one_ray(sides):
+    rays = msu.RaySpace.two_rays(0.5)
+    tri = msu.Triangle(*sides)
+    sols = msu.solve_constrained_embedding(tri, rays)
+    assert sols
+    for sol in sols:
+        assert len({p.ray for p in sol}) == 1
+        assert all(p.t > msu.SOLVER_TOL for p in sol)
+        for got, want in zip(remeasure(rays.angles, sol), tri_dists(tri)):
+            assert rel_close(got, want)
+
+
+def test_solver_flat_triple_slides_past_a_puncture():
+    rays = msu.RaySpace.two_rays(0.5)
+    tri = msu.Triangle(1, 1, 2)
+    hole = msu.solve_constrained_embedding(tri, rays)[0][2]
+    sols = msu.solve_constrained_embedding(tri, rays, forbidden=[hole])
+    assert any(sol[0].ray == hole.ray for sol in sols)
+    for sol in sols:
+        assert all(math.dist(rays.planar(p), rays.planar(hole)) >= msu.SOLVER_TOL for p in sol)
+
+
+def test_solver_flat_triple_on_tripod_includes_constructive_embedding():
+    tri = msu.Triangle(2.0, 3.0, 1.0)
+    target = [(p.ray, p.t) for p in msu.embed_triple_tripod(tri)]
+    sols = msu.solve_constrained_embedding(tri, TRIPOD)
+    assert [[(p.ray, p.t) for p in sol] for sol in sols].count(target) == 1
+
+
+def test_solver_circumcircle_continuum_has_arc_midpoint():
+    # Rays whose gaps equal the triangle's angles: the origin may sit
+    # anywhere on an arc of the circumcircle, listed by the arc midpoint,
+    # where the outer two vertices are equally far from the origin.
+    angles = (0.0, 0.6, 1.2)
+    rays = msu.RaySpace(angles, False)
+    tri = on_circle_through_origin(angles, (1.0, 2.0))
+    sols = [s for s in msu.solve_constrained_embedding(tri, rays) if [p.ray for p in s] == [0, 1, 2]]
+    assert any(rel_close(s[0].t, s[2].t) and rel_close(s[1].t, 2 * math.sqrt(5)) for s in sols)
