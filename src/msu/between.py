@@ -191,16 +191,10 @@ def line_realization(space: FiniteMetricSpace) -> Optional[LineRealization]:
                     return True
         return False
 
+    # Every pair is checked once: (0, t) holds by the choice of +/-r, and
+    # place() tests each later point against points 1..t-1.
     if not place(min(2, n)):
         return None
-    # Safety net: the search already checks each pair once.
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = coords[i] - coords[j]
-            if gap < 0:
-                gap = -gap
-            if not space.close(gap, space.dist(i, j)):
-                return None
     return LineRealization(tuple(coords))
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or affirmative result, 1 negative result (no
 embedding, not metrizable, not universal, ...), 2 input or usage error,
-3 internal error (a check the theory guarantees failed: a library bug).
+3 internal error (a float result drifted beyond tolerance from the value
+the theory fixes; the README lists each site).
 Reports go to stdout as JSON (sorted keys; exact values as "p/q" strings),
 diagnostics to stderr.
 """
@@ -34,7 +35,7 @@ from .families import (
     nonexistence_condition_i,
     quotient_poset,
 )
-from .graphs import check_metrizability, shortest_path_pseudometric
+from .graphs import check_metrizability
 from .io import (
     dump_report,
     load_family,
@@ -132,7 +133,7 @@ def _cmd_classify(args):
 def _cmd_embed(args):
     dom = _load_space_arg(args.domain, args)
     cod = _load_space_arg(args.codomain, args)
-    maps = find_embeddings(dom, cod, limit=args.limit, workers=args.parallel)
+    maps = find_embeddings(dom, cod, limit=args.limit)
     payload = {"count": len(maps), "embeddings": [pm.payload() for pm in maps]}
     return (0 if maps else 1), payload
 
@@ -195,7 +196,7 @@ def _cmd_metrize(args):
     graph = load_graph(read_json(args.graph), tol=_space_tol(args))
     report = check_metrizability(graph)
     payload = report.payload()
-    payload["pseudometric"] = [list(r) for r in shortest_path_pseudometric(graph)]
+    payload["pseudometric"] = [list(r) for r in report.pseudometric]
     return (0 if report.metrizable else 1), payload
 
 
@@ -205,7 +206,7 @@ def _cmd_metrize(args):
 def _verify_suffix(union, args, payload):
     if not args.verify:
         return 0, payload
-    report = verify_minimal_union(union, workers=args.parallel)
+    report = verify_minimal_union(union)
     payload["verify"] = report.payload()
     return (0 if report.passed else 1), payload
 
@@ -479,9 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="float comparison and geometric verification tolerance",
     )
-    common.add_argument(
-        "--parallel", type=int, default=None, help="worker threads where supported"
-    )
 
     top = argparse.ArgumentParser(
         prog="msu", description="finite metric spaces: embeddings, unions, rays"
@@ -685,7 +683,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if payload is not None:
-        print(dump_report(payload, pretty=args.pretty))
+        try:
+            print(dump_report(payload, pretty=args.pretty))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early (`msu ... | head`).  Send what is still
+            # buffered to devnull so the flush at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -39,7 +38,6 @@ def _search(
     codomain: FiniteMetricSpace,
     tol: float,
     limit: Optional[int],
-    first: Optional[int] = None,
 ) -> list[PointMap]:
     n, m = domain.n, codomain.n
     dd, cd = domain.matrix, codomain.matrix
@@ -69,12 +67,7 @@ def _search(
                 used[j] = False
         return False
 
-    if first is not None:
-        used[first] = True
-        image[0] = first
-        extend(1)
-    else:
-        extend(0)
+    extend(0)
     return out
 
 
@@ -82,28 +75,18 @@ def find_embeddings(
     domain: FiniteMetricSpace,
     codomain: FiniteMetricSpace,
     limit: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> list[PointMap]:
     """All (or up to `limit`) distance-preserving injections domain -> codomain.
 
     Output is sorted by image tuple, lexicographically; the empty space embeds
-    via the empty map. `workers` splits the top-level branches; the result
-    order is identical to the sequential run.
+    via the empty map.
     """
     n, m = domain.n, codomain.n
     if n == 0:
         return [PointMap(())]
     if n > m:
         return []
-    tol = max(domain.tol, codomain.tol)
-    if workers and workers > 1 and n >= 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            branches = pool.map(
-                lambda j: _search(domain, codomain, tol, limit, first=j), range(m)
-            )
-            out = [pm for branch in branches for pm in branch]
-        return out if limit is None else out[:limit]
-    return _search(domain, codomain, tol, limit)
+    return _search(domain, codomain, max(domain.tol, codomain.tol), limit)
 
 
 def embeds(domain: FiniteMetricSpace, codomain: FiniteMetricSpace) -> bool:
@@ -125,11 +108,10 @@ def compare(left: FiniteMetricSpace, right: FiniteMetricSpace) -> Comparability:
 
 @dataclass(frozen=True)
 class SelfMapReport:
-    """Outcome of checking that every self-embedding is onto."""
+    """The self-embeddings of a space; `not_shifted` says each is onto."""
 
     not_shifted: bool
     isometries: tuple[PointMap, ...]
-    witness: Optional[PointMap]
 
 
 def self_embeddings(space: FiniteMetricSpace) -> list[PointMap]:
@@ -137,17 +119,13 @@ def self_embeddings(space: FiniteMetricSpace) -> list[PointMap]:
 
 
 def is_not_shifted(space: FiniteMetricSpace) -> SelfMapReport:
-    """Check no self-embedding misses a point.
+    """List the self-embeddings; a finite space is never shifted.
 
-    For finite spaces an injective self-map is automatically onto, so the
-    failing branch is unreachable on valid input; it is kept as a consistency
-    check on the search engine itself.
+    Proof: the search gives distinct points distinct images, and an
+    injective map of a finite set into itself is onto.  So every listed
+    map is an isometry and `not_shifted` is always True.
     """
-    maps = self_embeddings(space)
-    for pm in maps:
-        if not pm.is_bijection_onto(space.n):
-            return SelfMapReport(False, tuple(maps), pm)
-    return SelfMapReport(True, tuple(maps), None)
+    return SelfMapReport(True, tuple(self_embeddings(space)))
 
 
 @dataclass(frozen=True)

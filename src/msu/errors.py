@@ -2,8 +2,8 @@
 
 Every error raised on bad user input derives from MsuError, so callers (and
 the CLI) can distinguish input problems from genuine bugs. InternalCheckError
-marks conditions the underlying theory rules out; seeing one is a defect in
-this library, not in the input.
+marks a float result that drifted beyond tolerance from the value the theory
+fixes; the README lists each site.
 """
 
 
@@ -110,4 +110,4 @@ class TransitivityError(MsuError, ValueError):
 
 
 class InternalCheckError(AssertionError):
-    """A condition the theory guarantees failed; indicates a library bug."""
+    """A float result drifted beyond tolerance from the value the theory fixes."""

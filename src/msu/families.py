@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .embed import embeds
-from .errors import EmptyFamilyError, InternalCheckError, TransitivityError
+from .errors import EmptyFamilyError, TransitivityError
 from .spaces import FiniteMetricSpace
 
 
@@ -50,7 +50,10 @@ class QuotientPoset:
         }
 
 
-def _is_transitive(r: tuple[tuple[bool, ...], ...]) -> bool:
+def _intransitive_triple(
+    r: tuple[tuple[bool, ...], ...]
+) -> Optional[tuple[int, int, int]]:
+    """First (i, j, k) with i -> j and j -> k but not i -> k, if any."""
     n = len(r)
     for i in range(n):
         for j in range(n):
@@ -58,23 +61,41 @@ def _is_transitive(r: tuple[tuple[bool, ...], ...]) -> bool:
                 continue
             for k in range(n):
                 if r[j][k] and not r[i][k]:
-                    return False
-    return True
+                    return i, j, k
+    return None
 
 
 def embed_quasiorder(fam: SpaceFamily) -> EmbedQuasiOrder:
-    """Pairwise embeddability matrix over the family, in input order."""
+    """Pairwise embeddability matrix over the family, in input order.
+
+    Exact embeddability composes, so it is transitive.  Embedding within a
+    float tolerance need not be: distances 1.0, 1.0 + 0.9*tol and
+    1.0 + 1.8*tol chain but the ends differ by more than tol.  Such a
+    family raises TransitivityError.
+    """
     ms = fam.members
     relation = tuple(
         tuple(embeds(ms[i], ms[j]) for j in range(len(ms))) for i in range(len(ms))
     )
-    if not _is_transitive(relation):
-        raise InternalCheckError("embeddability relation came out non-transitive")
+    bad = _intransitive_triple(relation)
+    if bad is not None:
+        i, j, k = bad
+        raise TransitivityError(
+            f"embeddability is not transitive within tolerance: member {i} "
+            f"embeds into {j} and {j} into {k}, but {i} not into {k}; "
+            "try a smaller --tol"
+        )
     return EmbedQuasiOrder(relation)
 
 
 def quotient_poset(qo: EmbedQuasiOrder) -> QuotientPoset:
-    """Collapse mutual embeddability and order the resulting classes."""
+    """Collapse mutual embeddability and order the resulting classes.
+
+    The order is antisymmetric: if class c embeds into class d and d into
+    c, their first members embed both ways, so they share a block, and the
+    blocks are the classes of an equivalence once the relation is
+    transitive; hence c = d.
+    """
     r = qo.relation
     n = len(r)
     for i in range(n):
@@ -82,7 +103,7 @@ def quotient_poset(qo: EmbedQuasiOrder) -> QuotientPoset:
             raise TransitivityError("relation matrix is not square")
         if not r[i][i]:
             raise TransitivityError(f"relation is not reflexive at {i}")
-    if not _is_transitive(r):
+    if _intransitive_triple(r) is not None:
         raise TransitivityError("relation is not transitive")
 
     assigned = [-1] * n
@@ -99,10 +120,6 @@ def quotient_poset(qo: EmbedQuasiOrder) -> QuotientPoset:
     order = tuple(
         tuple(r[classes[c][0]][classes[d][0]] for d in range(k)) for c in range(k)
     )
-    for c in range(k):
-        for d in range(k):
-            if c != d and order[c][d] and order[d][c]:
-                raise InternalCheckError("quotient order is not antisymmetric")
     maximal = tuple(
         c for c in range(k) if not any(d != c and order[c][d] for d in range(k))
     )
@@ -166,16 +183,13 @@ def nonexistence_condition_i(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Two non-isometric members that are both universal for the family.
 
-    Finite families never satisfy this; the check exists to confirm that
-    on concrete inputs.  Returns the witness pair when it ever holds.
+    Never holds for a finite family, so the answer is always (False, None).
+    Proof: if members i and j are both universal, every member embeds into
+    each of them; in particular i embeds into j and j into i.  Mutually
+    embeddable finite spaces are isometric: an embedding i -> j -> i
+    composes to an injective, hence onto, self-map of i, so i and j have
+    equally many points and i -> j is onto.  This holds in float mode
+    too: "i embeds into j" is the very embeds() answer that counts j as
+    universal.
     """
-    universal = [
-        i for i, m in enumerate(fam.members) if is_universal_space(fam, m)
-    ]
-    for a in range(len(universal)):
-        for b in range(a + 1, len(universal)):
-            i, j = universal[a], universal[b]
-            if not (embeds(fam.members[i], fam.members[j])
-                    and embeds(fam.members[j], fam.members[i])):
-                return True, (i, j)
     return False, None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -10,8 +10,8 @@ from .errors import (
     InputFormatError,
     InternalCheckError,
 )
-from .scalars import DEFAULT_TOL, Number, close, coerce_entries, leq, positive
-from .spaces import FiniteMetricSpace, validate_space
+from .scalars import DEFAULT_TOL, Number, close, coerce_entries, positive
+from .spaces import FiniteMetricSpace, metric_space
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,15 @@ class MetrizationReport:
     violating_cycle is an open vertex-index sequence; consecutive entries
     and the wrap-around pair are edges.  It is present exactly when the
     graph is not pseudometrizable.  metric is present exactly when the
-    graph is metrizable.
+    graph is metrizable.  pseudometric is the shortest-path matrix the
+    decision was made on; it is not part of payload().
     """
 
     pseudometrizable: bool
     metrizable: bool
     violating_cycle: Optional[tuple[int, ...]]
     metric: Optional[FiniteMetricSpace]
+    pseudometric: list[list[Number]] = field(repr=False, compare=False)
 
     def payload(self) -> dict:
         out: dict = {
@@ -176,21 +178,7 @@ def _all_pairs(
             if not close(rows[i][j], rows[j][i], graph.tol):
                 raise InternalCheckError("asymmetric shortest-path matrix")
             rows[j][i] = rows[i][j]
-    _assert_pseudometric(rows, graph.tol)
     return rows, preds
-
-
-def _assert_pseudometric(d: list[list[Number]], tol: float) -> None:
-    n = len(d)
-    for i in range(n):
-        if d[i][i] != 0:
-            raise InternalCheckError("nonzero diagonal in shortest-path matrix")
-        for j in range(n):
-            if d[i][j] < 0:
-                raise InternalCheckError("negative shortest-path distance")
-            for k in range(n):
-                if not leq(d[i][k], d[i][j] + d[j][k], tol):
-                    raise InternalCheckError("shortest paths violate the triangle inequality")
 
 
 def shortest_path_pseudometric(graph: WeightedGraph) -> list[list[Number]]:
@@ -223,12 +211,15 @@ def check_metrizability(graph: WeightedGraph) -> MetrizationReport:
     for i, j, w in graph.edges:
         if not close(d[i][j], w, graph.tol):
             cycle = _walk_back(preds[i], i, j)
-            return MetrizationReport(False, False, cycle, None)
+            return MetrizationReport(False, False, cycle, None, d)
 
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
             if not positive(d[i][j], graph.tol):
-                return MetrizationReport(True, False, None, None)
+                return MetrizationReport(True, False, None, None, d)
 
-    metric = validate_space(d, graph.labels, tol=graph.tol)
-    return MetrizationReport(True, True, None, metric)
+    # Shortest paths on a connected graph with positive distances form a
+    # metric (a detour through k is a path, so d(i,j) <= d(i,k) + d(k,j)),
+    # and the pin in _all_pairs made the matrix symmetric.
+    metric = metric_space(d, graph.labels, graph.tol)
+    return MetrizationReport(True, True, None, metric, d)

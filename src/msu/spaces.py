@@ -167,11 +167,22 @@ def validate_space(
     if len(set(labels)) != n:
         raise InputFormatError("labels must be distinct")
 
-    flat, exact = coerce_entries(v for row in matrix for v in row)
-    rows = [tuple(flat[i * n : (i + 1) * n]) for i in range(n)]
-    violations = metric_violations(rows, tol=tol)
+    space = metric_space(matrix, labels, tol)
+    violations = metric_violations(space.matrix, tol=tol)
     if violations:
         raise InvalidMetricError(violations)
-    return FiniteMetricSpace(
-        labels=tuple(labels), matrix=tuple(rows), exact=exact, tol=tol
-    )
+    return space
+
+
+def metric_space(
+    matrix: Sequence[Sequence[Number]], labels: Sequence[str], tol: float
+) -> FiniteMetricSpace:
+    """Wrap a matrix without checking the axioms; entries take one mode.
+
+    For builders whose output is a metric by construction, and for
+    validate_space once its checks pass.  Labels must be distinct strings.
+    """
+    n = len(matrix)
+    flat, exact = coerce_entries(v for row in matrix for v in row)
+    rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    return FiniteMetricSpace(labels=tuple(labels), matrix=rows, exact=exact, tol=tol)

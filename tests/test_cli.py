@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import msu
 from msu import cli
 
 Z_DOC = {
@@ -202,6 +206,40 @@ def test_internal_error_exit_three(tmp_path, capsys):
     code, out, err = run(capsys, ["tripod", "embed", str(path), "--tol", "1e-300"])
     assert code == 3 and out == ""
     assert err.startswith("internal error:") and "Traceback" not in err
+
+
+def test_float_non_transitive_family_exit_two(tmp_path, capsys):
+    paths = []
+    for name, d in (("a", 1.0), ("b", 1.0000000009), ("c", 1.0000000018)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": [[0.0, d], [d, 0.0]]}))
+        paths.append(str(path))
+    for verb in ("order", "poset"):
+        code, out, err = run(capsys, ["classes", verb, *paths])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--tol" in err and "Traceback" not in err
+
+
+def test_closed_pipe_exits_with_the_verb_code(tmp_path):
+    # The report (20,160 maps) outgrows the pipe buffer, so the writer
+    # meets the closed pipe mid-print.
+    for n in (6, 8):
+        doc = {"matrix": [[0 if i == j else 1 for j in range(n)] for i in range(n)]}
+        (tmp_path / f"e{n}.json").write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(msu.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "msu.cli", "embed", str(tmp_path / "e6.json"), str(tmp_path / "e8.json")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(20) == b'{"count":20160,"embe'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err and err == b""
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

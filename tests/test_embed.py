@@ -42,16 +42,6 @@ def test_limit_truncates_deterministically():
     assert [m.image for m in first] == [m.image for m in msu.find_embeddings(e, e)][:2]
 
 
-def test_parallel_matches_serial():
-    rng = random.Random(7)
-    for _ in range(10):
-        dom = random_space(rng, rng.randint(2, 4))
-        cod = random_space(rng, rng.randint(3, 5))
-        serial = [m.image for m in msu.find_embeddings(dom, cod)]
-        threaded = [m.image for m in msu.find_embeddings(dom, cod, workers=3)]
-        assert serial == threaded
-
-
 def test_empty_domain_single_trivial_map():
     empty = msu.FiniteMetricSpace((), (), True, msu.DEFAULT_TOL)
     maps = msu.find_embeddings(empty, equilateral(3))
@@ -116,6 +106,19 @@ def _mixed_space(rng, max_n):
 def test_prop_self_embeddings_are_bijections(space):
     for m in msu.self_embeddings(space):
         assert sorted(m.image) == list(range(space.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_brute_self_maps_are_bijections(seed, floats):
+    # Oracle for is_not_shifted, which reports "not shifted" without looking.
+    space = _mixed_space(random.Random(seed), 5)
+    if floats:
+        space = msu.validate_space([[float(v) for v in row] for row in space.matrix])
+    brute = brute_embeddings(space, space)
+    assert all(sorted(image) == list(range(space.n)) for image in brute)
+    rep = msu.is_not_shifted(space)
+    assert rep.not_shifted and [m.image for m in rep.isometries] == sorted(brute)
 
 
 @settings(max_examples=40, deadline=None)

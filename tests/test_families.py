@@ -83,19 +83,56 @@ def test_is_minimal_universal_space_examples():
     assert rep.minimal
 
 
+def condition_i_by_search(fam):
+    """The pairwise search nonexistence_condition_i replaced with a proof."""
+    ms = fam.members
+    universal = [i for i, m in enumerate(ms) if all(msu.embeds(x, m) for x in ms)]
+    for a in range(len(universal)):
+        for b in range(a + 1, len(universal)):
+            i, j = universal[a], universal[b]
+            if not (msu.embeds(ms[i], ms[j]) and msu.embeds(ms[j], ms[i])):
+                return True, (i, j)
+    return False, None
+
+
+def random_family(rng):
+    # Shuffled copies make several members universal at once.
+    members = [random_space(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+    for s in list(members):
+        if rng.random() < 0.5:
+            members.append(s.restrict(rng.sample(range(s.n), s.n)))
+    if rng.random() < 0.3:
+        members = [msu.validate_space([[float(v) for v in row] for row in s.matrix]) for s in members]
+    rng.shuffle(members)
+    return msu.SpaceFamily(tuple(members))
+
+
 def test_nonexistence_condition_i_always_false():
     rng = random.Random(5)
     fams = [
         msu.SpaceFamily((pair(1), pair(2), TRI, equilateral(3))),
         msu.SpaceFamily((pair(1),)),
         msu.SpaceFamily((pair(1), pair(2))),
+        msu.SpaceFamily((TRI, TRI.restrict((2, 0, 1)), pair(1))),
     ]
-    for _ in range(10):
-        members = tuple(random_space(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 4)))
-        fams.append(msu.SpaceFamily(members))
+    fams += [random_family(rng) for _ in range(20)]
     for fam in fams:
-        holds, witness = msu.nonexistence_condition_i(fam)
-        assert holds is False and witness is None
+        assert condition_i_by_search(fam) == (False, None)
+        assert msu.nonexistence_condition_i(fam) == (False, None)
+
+
+def test_quotient_order_is_antisymmetric():
+    rng = random.Random(9)
+    for _ in range(20):
+        po = msu.quotient_poset(msu.embed_quasiorder(random_family(rng)))
+        k = len(po.classes)
+        assert not any(po.order[c][d] and po.order[d][c] for c in range(k) for d in range(k) if c != d)
+
+
+def test_float_embeddability_chain_is_not_transitive():
+    fam = msu.SpaceFamily(tuple(pair(d) for d in (1.0, 1.0000000009, 1.0000000018)))
+    with pytest.raises(msu.TransitivityError, match="member 0 embeds into 1 and 1 into 2"):
+        msu.embed_quasiorder(fam)
 
 
 def test_subclass_is_universal_and_irredundant():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msu
-from conftest import cycle_weight_oracle
+from conftest import cycle_weight_oracle, random_int_metric
 
 
 def path_abc(w1, w2):
@@ -104,18 +104,46 @@ def test_prop_edge_criterion_matches_cycle_oracle(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**30))
-def test_prop_pseudometric_axioms(seed):
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_pseudometric_axioms(seed, floats):
+    # Oracle for the shortest-path rule, which the library does not re-check.
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    g, _ = random_connected_graph(rng, n, weights=(1, 2, 3, 5))
+    weights = (1, 2, 3, 5)
+    if floats:
+        weights = tuple(rng.uniform(0.1, 5.0) for _ in range(4))
+    g, _ = random_connected_graph(rng, n, weights=weights)
     d = msu.shortest_path_pseudometric(g)
+    slack = 1e-12 if floats else 0
     for i in range(n):
         assert d[i][i] == 0
         for j in range(n):
             assert d[i][j] == d[j][i]
             for k in range(n):
-                assert d[i][j] <= d[i][k] + d[k][j]
+                assert d[i][j] <= (d[i][k] + d[k][j]) * (1 + slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_metric_is_the_validated_pseudometric(seed, floats):
+    # The metrizable result is built without re-validation; validate it here.
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        m = random_int_metric(rng, n)
+        edges = [(i, j, m[i][j]) for i in range(n) for j in range(i + 1, n)]
+        g = msu.build_graph([f"v{i}" for i in range(n)], edges)
+    else:
+        g, edges = random_connected_graph(rng, n, weights=(1, 2, 3, 5))
+    if floats:
+        g = msu.build_graph(g.labels, [(i, j, float(w)) for i, j, w in g.edges])
+    rep = msu.check_metrizability(g)
+    assert rep.pseudometric == msu.shortest_path_pseudometric(g)
+    if rep.metrizable:
+        want = msu.validate_space(rep.pseudometric, g.labels, tol=g.tol)
+        assert rep.metric == want
+        got_types = [type(v) for row in rep.metric.matrix for v in row]
+        assert got_types == [type(v) for row in want.matrix for v in row]
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msu
-from conftest import from_coords, pair, quad, random_ultrametric
+from conftest import from_coords, pair, quad, random_space, random_ultrametric
+
+
+def float_twin(space):
+    return msu.validate_space([[float(v) for v in row] for row in space.matrix])
 
 
 def test_glue_ultrametric_cross_values():
@@ -113,6 +119,85 @@ def test_union_ultrametric_family_examples():
         msu.union_ultrametric_family([Fraction(1, 2)], [1, 2])
 
 
+def test_union_ultrametric_family_rejects_values_within_tolerance():
+    with pytest.raises(msu.InputFormatError):
+        msu.union_ultrametric_family([1.0, 1.0000000000001], [0, 2.0])
+    with pytest.raises(msu.SeparatorError):
+        msu.union_ultrametric_family([1.0000000000001], [0, 1.0, 2.0])
+    with pytest.raises(msu.SeparatorError):
+        msu.union_ultrametric_family([0.9999999999999], [0, 1.0, 2.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_union_ultrametric_family_hits_each_distance_once(seed, floats):
+    # Oracle for the two union properties the builder no longer re-checks.
+    rng = random.Random(seed)
+    seps = [0] + sorted(rng.sample(range(1, 20), rng.randint(1, 4)))
+    ts = set()
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randrange(1, len(seps))
+        ts.add(seps[k - 1] + Fraction(rng.randint(1, 9), 10) * (seps[k] - seps[k - 1]))
+    ts = sorted(ts)
+    if floats:
+        ts, seps = [float(t) for t in ts], [float(v) for v in seps]
+    u = msu.union_ultrametric_family(ts, seps)
+    m, n = u.space.matrix, u.space.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert m[i][j] <= max(m[i][k], m[k][j])
+    for t in ts:
+        hits = [(i, j) for i in range(n) for j in range(i + 1, n) if msu.close(m[i][j], t)]
+        assert len(hits) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_union_epsilon_connected_is_a_metric_keeping_parts(seed, floats):
+    # Oracle for the axioms and restrictions the builder no longer re-checks.
+    rng = random.Random(seed)
+    parts = [random_space(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+    anchors = [rng.randrange(p.n) for p in parts]
+    eps1 = max(msu.connectivity_threshold(p) for p in parts) + Fraction(
+        rng.randint(1, 6), rng.choice((1, 2, 3))
+    )
+    if floats:
+        parts, eps1 = [float_twin(p) for p in parts], float(eps1)
+    u = msu.union_epsilon_connected(parts, anchors, eps1)
+    assert msu.metric_violations(u.space.matrix, u.space.tol) == []
+    for i, part in enumerate(parts):
+        got = u.part_space(i).matrix
+        for a in range(part.n):
+            for b in range(part.n):
+                if floats:
+                    assert msu.close(got[a][b], part.matrix[a][b], part.tol)
+                else:
+                    assert got[a][b] == part.matrix[a][b]
+
+
+def test_assembled_unions_restrict_to_their_parts():
+    rng = random.Random(23)
+    for _ in range(10):
+        x, y = random_ultrametric(rng, rng.randint(1, 5)), random_ultrametric(rng, rng.randint(1, 5))
+        glued = msu.glue_ultrametric_pair(x, y, 0, y.n - 1, rng.randint(1, 9))
+        s1, s2 = random_space(rng, rng.randint(1, 5)), random_space(rng, rng.randint(1, 5))
+        r0 = max(s1.diameter(), s2.diameter()) + rng.randint(0, 3)
+        const = msu.glue_constant(s1, s2, r0)
+        f1, f2 = float_twin(s1), float_twin(s2)
+        const_float = msu.glue_constant(f1, f2, float(r0))
+        for u, parts in ((glued, (x, y)), (const, (s1, s2)), (const_float, (f1, f2))):
+            for i, part in enumerate(parts):
+                assert u.part_space(i).matrix == part.matrix
+    quads = [quad(1, 2), quad(1, 3), quad(2, 5)]
+    u = msu.union_pl_quadruples(quads)
+    assert [u.part_space(i).matrix for i in range(3)] == [q.matrix for q in quads]
+    u = msu.union_ultrametric_family([Fraction(1, 2), 2, Fraction(5, 2)], [0, 1, 3])
+    assert [u.part_space(i).matrix for i in range(3)] == [
+        pair(Fraction(1, 2)).matrix, pair(2).matrix, pair(Fraction(5, 2)).matrix
+    ]
+
+
 def test_union_pl_quadruples_examples():
     u = msu.union_pl_quadruples([quad(1, 2), quad(1, 3)])
     assert all(u.space.matrix[i][j] == 4 for i in range(4) for j in range(4, 8))
@@ -158,6 +243,11 @@ def test_sample_m_space_rejects_duplicates():
         msu.sample_m_space([msu.RealPoint(1), msu.RealPoint(1)], BIG, BR)
 
 
+def test_sample_m_space_rejects_float_points_closer_than_tolerance():
+    with pytest.raises(msu.InvalidMetricError):
+        msu.sample_m_space([msu.RealPoint(0.0), msu.RealPoint(1e-12)], BIG, BR)
+
+
 def test_bridge_params_positive_r():
     with pytest.raises(msu.NonpositiveDistanceError):
         msu.BridgeParams(0, msu.TaggedPoint(0, 0), 0)
@@ -175,6 +265,7 @@ def test_verify_minimal_union_passes_and_fails():
 
     rep = msu.verify_minimal_union(BIG)
     assert rep.passed and rep.copy_counts == (1, 1)
+    assert rep.payload()["shifted_parts"] == []
 
 
 def test_verify_reports_extra_copies():
