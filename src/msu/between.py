@@ -11,7 +11,15 @@ from .errors import (
     InvalidTripleError,
     WrongCardinalityError,
 )
-from .scalars import DEFAULT_TOL, Number, close, coerce_entries, leq, positive
+from .scalars import (
+    DEFAULT_TOL,
+    Number,
+    close,
+    coerce_entries,
+    integer_rows,
+    leq,
+    positive,
+)
 from .spaces import FiniteMetricSpace
 
 
@@ -88,45 +96,20 @@ def is_mb_triple(
     return close(2 * max(a, b, c), a + b + c, tol)
 
 
-def _det(m: list[list[Number]]) -> Number:
-    if len(m) == 1:
-        return m[0][0]
-    total: Number = 0
-    for col, val in enumerate(m[0]):
-        if val == 0:
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in m[1:]]
-        term = val * _det(minor)
-        total = total - term if col % 2 else total + term
-    return total
-
-
 def cayley_menger(
     d12: Number, d13: Number, d23: Number, tol: float = DEFAULT_TOL
 ) -> Number:
     """Collinearity determinant of a triple; zero exactly for flat triples.
 
-    Equals -16 times the squared area of the triangle with these sides,
-    so it is negative for every non-degenerate triple.  Exact inputs give
-    an exact result.
+    The Cayley-Menger determinant of the three points, in closed form:
+    -(a+b+c)(-a+b+c)(a-b+c)(a+b-c), which is -16 times the squared area
+    of the triangle with these sides (Heron), so it is negative for every
+    non-degenerate triple.  Exact inputs give the exact determinant.  For
+    float inputs the product can differ in its last bits from a cofactor
+    expansion of the 4x4 matrix.
     """
     a, b, c = _validated_sides(d12, d13, d23, tol)
-    a2, b2, c2 = a * a, b * b, c * c
-    return _det(
-        [
-            [0, a2, b2, 1],
-            [a2, 0, c2, 1],
-            [b2, c2, 0, 1],
-            [1, 1, 1, 0],
-        ]
-    )
-
-
-def _triple_is_collinear(space: FiniteMetricSpace, i: int, j: int, k: int) -> bool:
-    a = space.dist(i, j)
-    b = space.dist(i, k)
-    c = space.dist(j, k)
-    return space.close(2 * max(a, b, c), a + b + c)
+    return -(a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
 
 
 def is_mb_space(space: FiniteMetricSpace) -> MBStatus:
@@ -134,9 +117,13 @@ def is_mb_space(space: FiniteMetricSpace) -> MBStatus:
 
     Spaces with fewer than three points pass vacuously.  The witness is
     the first violating triple in lexicographic index order, if any.
+    Exact spaces are tested on their int-scaled rows, which keeps every
+    answer of 2*max = sum.
     """
+    d = integer_rows(space.matrix)
     for i, j, k in combinations(range(space.n), 3):
-        if not _triple_is_collinear(space, i, j, k):
+        a, b, c = d[i][j], d[i][k], d[j][k]
+        if not close(2 * max(a, b, c), a + b + c, space.tol):
             return MBStatus(False, (i, j, k))
     return MBStatus(True, None)
 

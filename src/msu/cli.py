@@ -65,7 +65,7 @@ from .realsets import (
     f2_removal_witness,
     interval_embed,
 )
-from .scalars import DEFAULT_TOL, parse_number
+from .scalars import DEFAULT_TOL, Number, parse_number
 from .unions import (
     BridgeParams,
     QuadPoint,
@@ -211,17 +211,25 @@ def _verify_suffix(union, args, payload):
     return (0 if report.passed else 1), payload
 
 
+def _parse_part_param(raw: str, parts) -> Number:
+    """A numeric parameter in the mode of the parts it joins: float if any is."""
+    value = parse_number(raw)
+    return value if all(p.exact for p in parts) else float(value)
+
+
 def _cmd_union_glue(args):
     x = _load_space_arg(args.x, args)
     y = _load_space_arg(args.y, args)
-    union = glue_ultrametric_pair(x, y, args.x0, args.y0, parse_number(args.r0))
+    union = glue_ultrametric_pair(
+        x, y, args.x0, args.y0, _parse_part_param(args.r0, (x, y))
+    )
     return _verify_suffix(union, args, union.payload())
 
 
 def _cmd_union_constant(args):
     x = _load_space_arg(args.x, args)
     y = _load_space_arg(args.y, args)
-    union = glue_constant(x, y, parse_number(args.r0))
+    union = glue_constant(x, y, _parse_part_param(args.r0, (x, y)))
     return _verify_suffix(union, args, union.payload())
 
 
@@ -237,7 +245,7 @@ def _cmd_union_graph(args):
     if args.eps_check is not None:
         if len(parts) != 1:
             raise InputFormatError("--eps-check inspects exactly one part")
-        eps = parse_number(args.eps_check)
+        eps = _parse_part_param(args.eps_check, parts)
         connected = is_epsilon_connected(parts[0], eps)
         payload = {
             "eps": eps,
@@ -248,7 +256,7 @@ def _cmd_union_graph(args):
     if args.eps1 is None:
         raise InputFormatError("--eps1 is required to build the union")
     anchors = _parse_int_list(args.anchors) if args.anchors else [0] * len(parts)
-    union = union_epsilon_connected(parts, anchors, parse_number(args.eps1))
+    union = union_epsilon_connected(parts, anchors, _parse_part_param(args.eps1, parts))
     return _verify_suffix(union, args, union.payload())
 
 

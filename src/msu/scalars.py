@@ -8,7 +8,8 @@ absolute-or-relative tolerance. Exact values never compare fuzzily.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 from .errors import InputFormatError
 
@@ -41,6 +42,22 @@ def leq(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
 def positive(a: Number, tol: float = DEFAULT_TOL) -> bool:
     """Strictly positive beyond tolerance."""
     return not leq(a, 0, tol)
+
+
+def integer_rows(matrix: Sequence[Sequence[Number]]) -> Sequence[Sequence[Number]]:
+    """An all-exact matrix as plain int rows over the lcm of its denominators.
+
+    Scaling by a positive constant keeps every order, equality and sum, so
+    each exact test (==, <=, d(i,k) <= d(i,j) + d(j,k), 2*max = sum) has the
+    same answer on the result as on the input.  A matrix holding any entry
+    that is not an int or a Fraction (a float) is returned unchanged.
+    """
+    if any(type(v) not in (int, Fraction) for row in matrix for v in row):
+        return matrix
+    dens = {v.denominator for row in matrix for v in row}
+    scale = lcm(*dens)
+    factor = {d: scale // d for d in dens}
+    return [[v.numerator * factor[v.denominator] for v in row] for row in matrix]
 
 
 def parse_number(raw: object) -> Number:

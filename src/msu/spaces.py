@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, le
 from typing import Optional, Sequence
 
 from .errors import IndexRangeError, InputFormatError, InvalidMetricError
-from .scalars import DEFAULT_TOL, Number, close, coerce_entries, leq, positive
+from .scalars import (
+    DEFAULT_TOL,
+    Number,
+    close,
+    coerce_entries,
+    integer_rows,
+    leq,
+    positive,
+)
 
 ASYMMETRY = "asymmetry"
 NONZERO_DIAGONAL = "nonzero-diagonal"
@@ -44,11 +54,21 @@ def metric_violations(
     Stops early after `limit` findings when given. Triangle checks use the
     upper-triangle entries, so they stay meaningful even when asymmetry is
     also being reported.
+
+    An exact matrix is checked on its int-scaled rows (same answers, no
+    Fraction arithmetic).  Each pair (i, j) first tests its whole tail of
+    columns k > j with plain `<=` in three C-level passes; only a pair that
+    fails one runs the per-k tolerance loop.  The passes are sound: on two
+    exact values `<=` is leq itself; where a float takes part, `a <= b + c`
+    gives float(a) <= b + c (rounding is monotone) and so leq(a, b + c, tol)
+    for every tol.  Each sum is the same IEEE operation as in the loop,
+    since addition commutes, and a NaN fails `<=`.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise InputFormatError("matrix is not square")
+    matrix = integer_rows(matrix)
     out: list[Violation] = []
 
     def full() -> bool:
@@ -69,9 +89,17 @@ def metric_violations(
                 out.append(Violation(NONPOSITIVE_DISTANCE, (i, j)))
                 if full():
                     return out
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = matrix[i][j]
+    for i in range(n - 2):
+        row_i = matrix[i]
+        for j in range(i + 1, n - 1):
+            dij = row_i[j]
+            ri, rj = row_i[j + 1 :], matrix[j][j + 1 :]
+            if (
+                all(map(le, ri, map(add, rj, repeat(dij))))
+                and all(map(le, repeat(dij), map(add, ri, rj)))
+                and all(map(le, rj, map(add, ri, repeat(dij))))
+            ):
+                continue
             for k in range(j + 1, n):
                 djk = matrix[j][k]
                 dik = matrix[i][k]

@@ -1,11 +1,12 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 import math
 import random
 
 import msu
+from msu.scalars import close, leq, positive
 
 
 def from_coords(coords):
@@ -288,3 +289,73 @@ def newton_placements(tri, rays, forbidden=(), tol=1e-6, eps_geo=1e-9):
             kept.append(tuple(ts))
         results.extend([msu.RayPoint(assign[v], key[v]) for v in range(3)] for key in sorted(kept))
     return results
+
+
+def brute_violations(matrix, tol=msu.DEFAULT_TOL, limit=None):
+    """Every axiom violation by one scalar test per entry, pair and triple.
+
+    The scan that preceded the int-scaled kernel with its row filter, kept
+    as the oracle of metric_violations: same checks, same order, same limit.
+    """
+    n = len(matrix)
+    out = []
+
+    def add(kind, idx):
+        out.append(msu.Violation(kind, idx))
+        return limit is not None and len(out) >= limit
+
+    for i in range(n):
+        if not close(matrix[i][i], 0, tol) and add("nonzero-diagonal", (i,)):
+            return out
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not close(matrix[i][j], matrix[j][i], tol) and add("asymmetry", (i, j)):
+                return out
+            if not positive(matrix[i][j], tol) and add("nonpositive-distance", (i, j)):
+                return out
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = matrix[i][j]
+            for k in range(j + 1, n):
+                djk, dik = matrix[j][k], matrix[i][k]
+                if not leq(dik, dij + djk, tol):
+                    idx = (i, j, k)
+                elif not leq(dij, dik + djk, tol):
+                    idx = (i, k, j)
+                elif not leq(djk, dij + dik, tol):
+                    idx = (j, i, k)
+                else:
+                    continue
+                if add("triangle", idx):
+                    return out
+    return out
+
+
+def brute_is_mb_space(space):
+    """First triple (lexicographic) with no point between the other two."""
+    d = space.dist
+    for i, j, k in combinations(range(space.n), 3):
+        a, b, c = d(i, j), d(i, k), d(j, k)
+        if not space.close(2 * max(a, b, c), a + b + c):
+            return msu.MBStatus(False, (i, j, k))
+    return msu.MBStatus(True, None)
+
+
+def cofactor_det(m):
+    """Determinant by recursive cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = 0
+    for col, val in enumerate(m[0]):
+        if val == 0:
+            continue
+        minor = [row[:col] + row[col + 1 :] for row in m[1:]]
+        term = val * cofactor_det(minor)
+        total = total - term if col % 2 else total + term
+    return total
+
+
+def cayley_menger_matrix(a, b, c):
+    """The bordered 4x4 Cayley-Menger matrix of a triple with sides a, b, c."""
+    a2, b2, c2 = a * a, b * b, c * c
+    return [[0, a2, b2, 1], [a2, 0, c2, 1], [b2, c2, 0, 1], [1, 1, 1, 0]]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msu
-from conftest import brute_line_embeddable, equilateral, from_coords, quad, random_space
+from conftest import (
+    brute_is_mb_space,
+    brute_line_embeddable,
+    cayley_menger_matrix,
+    cofactor_det,
+    equilateral,
+    from_coords,
+    quad,
+    random_space,
+)
 
 TRI_123 = msu.validate_space([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -107,6 +117,7 @@ def test_prop_cayley_menger_sign_matches_collinearity(parts):
     if 0 in (a, b, c):
         return
     det = msu.cayley_menger(a, b, c)
+    assert det == cofactor_det(cayley_menger_matrix(a, b, c))
     assert det <= 0
     flat = 2 * max(a, b, c) == a + b + c
     assert (det == 0) == flat
@@ -155,3 +166,27 @@ def test_prop_mb_space_off_four_points_line_embeds(seed):
     space = from_coords(coords)
     assert msu.is_mb_space(space).is_mb
     assert msu.line_realization(space) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.sampled_from((1e-12, 1e-9, 1e-4)))
+def test_prop_is_mb_space_matches_the_triple_scan(seed, tol):
+    rng = random.Random(seed)
+    n = rng.randint(0, 9)
+    roll = rng.random()
+    if roll < 0.3:
+        den = rng.randint(1, 4)
+        coords = [Fraction(c, den) for c in sorted(rng.sample(range(0, 40), n))]
+        rows = [[abs(a - b) for b in coords] for a in coords]
+    elif roll < 0.45:
+        rows = random_space(rng, max(n, 1)).matrix
+    elif roll < 0.55:
+        rows = quad(rng.randint(1, 6), rng.randint(1, 6)).matrix
+    else:
+        # float plane points on a line 0.1 apart, one sometimes lifted off it
+        pts = [[0.1 * c, 0.0] for c in sorted(rng.sample(range(0, 40), n))]
+        if n and rng.random() < 0.5:
+            rng.choice(pts)[1] = rng.choice((1e-7, 1e-4, 0.05))
+        rows = [[math.dist(p, q) for q in pts] for p in pts]
+    space = msu.validate_space(rows, tol=tol)
+    assert msu.is_mb_space(space) == brute_is_mb_space(space)

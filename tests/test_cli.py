@@ -142,6 +142,41 @@ def test_union_graph_with_verify(files, capsys):
     assert json.loads(out)["verify"]["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["graph", "{f0}", "{f1}", "--anchors", "0,0", "--eps1", "30.5"],
+        ["constant", "{f0}", "{f1}", "--r0", "3.5"],
+        ["glue", "{f0}", "{f1}", "--x0", "0", "--y0", "0", "--r0", "3.5"],
+    ],
+)
+def test_union_decimal_parameter_with_float_parts(tmp_path, capsys, verb):
+    paths = {}
+    for name, d in (("f0", 1.5), ("f1", 2.5), ("e0", "3/2"), ("e1", "5/2")):
+        path = tmp_path / f"{name}.json"
+        zero = 0.0 if isinstance(d, float) else 0
+        path.write_text(json.dumps({"matrix": [[zero, d], [d, zero]]}))
+        paths[name] = str(path)
+    argv = ["union"] + [a.format(**paths) for a in verb]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert isinstance(doc["matrix"][0][2], float)
+    assert doc["provenance"].get("eps1", doc["provenance"].get("r0")) in (30.5, 3.5)
+    exact = [a.replace("{f", "{e").format(**paths) for a in verb]
+    code, out, _ = run(capsys, ["union"] + exact)
+    assert code == 0
+    assert ('"eps1":"61/2"' if "--eps1" in verb else '"r0":"7/2"') in out
+
+
+def test_union_eps_check_reads_eps_in_the_part_mode(tmp_path, capsys):
+    path = tmp_path / "f0.json"
+    path.write_text(json.dumps({"matrix": [[0.0, 1.5], [1.5, 0.0]]}))
+    code, out, _ = run(capsys, ["union", "graph", str(path), "--eps-check", "1.5"])
+    assert code == 0
+    assert out == '{"connected":true,"eps":1.5,"threshold":1.5}\n'
+
+
 def test_union_glue_bad_radius_exit_two(files, capsys):
     code, _, err = run(capsys, ["union", "glue", files["pair1"], files["pair2"], "--r0", "0"])
     assert code == 2 and "error:" in err

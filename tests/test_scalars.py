@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 import msu
-from msu.scalars import close, coerce_entries, format_number, is_exact, leq, parse_number, positive
+from msu.scalars import (
+    close,
+    coerce_entries,
+    format_number,
+    integer_rows,
+    is_exact,
+    leq,
+    parse_number,
+    positive,
+)
 
 
 def test_parse_number_forms():
@@ -68,3 +77,17 @@ def test_coerce_entries_float_mode():
 def test_coerce_entries_mode_mixing_rejected():
     with pytest.raises(msu.InputFormatError):
         coerce_entries([0.5, Fraction(1, 3)])
+
+
+def test_integer_rows_scales_exact_matrices_to_ints():
+    m = [[0, Fraction(1, 2), Fraction(2, 3)], [Fraction(1, 2), 0, 1], [Fraction(2, 3), 1, 0]]
+    rows = integer_rows(m)
+    assert rows == [[0, 3, 4], [3, 0, 6], [4, 6, 0]]
+    assert all(type(v) is int for row in rows for v in row)
+    assert integer_rows([[Fraction(4, 1), 2]]) == [[4, 2]]
+    assert integer_rows([]) == []
+
+
+def test_integer_rows_leaves_float_matrices_unchanged():
+    for m in ([[0.0, 0.5], [0.5, 0.0]], [[0, 0.5], [Fraction(1, 2), 0]], [[True, 1]]):
+        assert integer_rows(m) is m

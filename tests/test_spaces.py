@@ -1,9 +1,14 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msu
-from conftest import equilateral, from_coords
+from conftest import brute_violations, equilateral, from_coords, random_rational_metric
+from msu.scalars import leq
 
 
 def test_equilateral_valid():
@@ -68,3 +73,90 @@ def test_float_mode_space():
 def test_mode_mixing_rejected():
     with pytest.raises(msu.InputFormatError):
         msu.validate_space([[0, 0.5], [Fraction(1, 3), 0]])
+
+
+def _planted(rng, n):
+    """An exact closure metric with a few faults of every kind planted."""
+    rows = [list(r) for r in random_rational_metric(rng, n)]
+    top = max(max(r) for r in rows) if n else 0
+    for _ in range(rng.randint(0, 3)):
+        if n < 2:
+            break
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows[i][i] = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        elif kind == 1:
+            rows[i][j] += Fraction(1, rng.randint(1, 4))
+        elif kind == 2:
+            rows[i][j] = rows[j][i] = -rng.randint(0, 2)
+        else:
+            rows[i][j] = rows[j][i] = 3 * top + 1
+    return rows
+
+
+def _float_grid(rng, n):
+    # L1 distances of grid points scaled by 0.1 or 0.3: many collinear
+    # triples whose float sums miss the third side by an ulp.
+    step = rng.choice((0.1, 0.3))
+    pts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n)]
+    rows = [[step * (abs(p[0] - q[0]) + abs(p[1] - q[1])) for q in pts] for p in pts]
+    if rng.random() < 0.5 and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] *= rng.choice((0.5, 1.0 + 1e-10, 3.0))
+    return rows
+
+
+def _mixed(rng, n):
+    # Raw rows mixing ints, floats and Fractions; no coercion beforehand.
+    rows = _planted(rng, n)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.4:
+                rows[i][j] = float(rows[i][j])
+            elif rows[i][j].denominator == 1:
+                rows[i][j] = int(rows[i][j])
+    return rows
+
+
+def _non_finite(rng, n):
+    rows = _float_grid(rng, n)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        bad = rng.choice((math.nan, math.inf, -math.inf))
+        rows[i][j] = bad
+        if rng.random() < 0.5:
+            rows[j][i] = bad
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.sampled_from((_planted, _float_grid, _mixed, _non_finite)),
+    st.sampled_from((1e-12, 1e-9, 2.0)),
+)
+def test_prop_metric_violations_match_the_triple_scan(seed, build, tol):
+    rng = random.Random(seed)
+    rows = build(rng, rng.randint(1, 11))
+    full = brute_violations(rows, tol)
+    assert msu.metric_violations(rows, tol) == full
+    for limit in range(1, len(full) + 1):
+        assert msu.metric_violations(rows, tol, limit) == full[:limit]
+
+
+def test_valid_exact_input_makes_no_per_triple_call(monkeypatch):
+    calls = []
+
+    def counting_leq(a, b, tol=msu.DEFAULT_TOL):
+        calls.append(1)
+        return leq(a, b, tol)
+
+    monkeypatch.setattr(msu.spaces, "leq", counting_leq)
+    rows = random_rational_metric(random.Random(40), 40)
+    assert msu.metric_violations(rows) == []
+    assert not calls
+    top = max(max(r) for r in rows)
+    rows[3][17] = rows[17][3] = 3 * top
+    assert any(v.kind == "triangle" for v in msu.metric_violations(rows))
+    assert calls
