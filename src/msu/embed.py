@@ -38,36 +38,67 @@ def _search(
     codomain: FiniteMetricSpace,
     tol: float,
     limit: Optional[int],
+    pin: Optional[int] = None,
 ) -> list[PointMap]:
+    """Backtracking over bitmasks of candidate codomain points.
+
+    Bit q of the table entry for (image point p, domain distance x) says
+    that codomain point q lies at distance x from p: `cd[q][p] == x` when
+    both spaces are exact, else `close(x, cd[q][p], tol)`, the entry and
+    argument order a point-by-point test of "d(i, k) = d'(q, image[k])"
+    reads.  Each entry is filled on first use and kept for the rest of the
+    call; the distinct values of x are numbered once, so a key is one int.
+    Point i may go to the unused points in the AND of the entries for
+    (image[k], d(i, k)) over k < i; taking them lowest bit first lists the
+    maps in increasing image-tuple order, so `limit` keeps a prefix of the
+    full list.  `pin` fixes image[0].
+    """
     n, m = domain.n, codomain.n
     dd, cd = domain.matrix, codomain.matrix
+    exact = domain.exact and codomain.exact
+    ids: dict = {}
+    below = [[ids.setdefault(x, len(ids)) for x in row[:i]] for i, row in enumerate(dd)]
+    values = list(ids)
+    masks: dict = {}
+
+    def mask(p: int, v: int) -> int:
+        key = v * m + p
+        bits = masks.get(key)
+        if bits is None:
+            x = values[v]
+            if exact:
+                bits = sum(1 << q for q, row in enumerate(cd) if row[p] == x)
+            else:
+                bits = sum(1 << q for q, row in enumerate(cd) if close(x, row[p], tol))
+            masks[key] = bits
+        return bits
+
     out: list[PointMap] = []
     image = [0] * n
-    used = [False] * m
+    full = (1 << m) - 1
 
-    def extend(i: int) -> bool:
+    def extend(i: int, used: int) -> bool:
         if i == n:
             out.append(PointMap(tuple(image)))
             return limit is not None and len(out) >= limit
-        row = dd[i]
-        for j in range(m):
-            if used[j]:
-                continue
-            crow = cd[j]
-            ok = True
-            for k in range(i):
-                if not close(row[k], crow[image[k]], tol):
-                    ok = False
-                    break
-            if ok:
-                used[j] = True
-                image[i] = j
-                if extend(i + 1):
-                    return True
-                used[j] = False
+        cand = full ^ used
+        for k, v in enumerate(below[i]):
+            cand &= mask(image[k], v)
+            if not cand:
+                return False
+        while cand:
+            low = cand & -cand
+            image[i] = low.bit_length() - 1
+            if extend(i + 1, used | low):
+                return True
+            cand ^= low
         return False
 
-    extend(0)
+    if pin is None:
+        extend(0, 0)
+    else:
+        image[0] = pin
+        extend(1, 1 << pin)
     return out
 
 
@@ -159,19 +190,23 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
 
 
 def classify_space(space: FiniteMetricSpace) -> SpaceTraits:
-    """Structural flags: ultrametric, discrete, strongly rigid, homogeneous."""
+    """Structural flags: ultrametric, discrete, strongly rigid, homogeneous.
+
+    Strongly rigid (no two pairs at the same distance) tests neighbours of
+    the sorted distances only.  That is enough: for non-negative a <= b <= c,
+    close(a, c) implies close(b, c).  Exactly, a == c forces b == c; with a
+    float, c - b <= c - a also after rounding, and both pairs are held to the
+    same bound max(tol, tol * c).  So if some pair is close, the larger value
+    of that pair is close to its left neighbour.
+
+    Homogeneous (some self-map sends point 0 to each point j) runs one
+    search per j with image[0] pinned to j, stopping at its first map.
+    """
     n, d, tol = space.n, space.matrix, space.tol
 
-    off = [d[i][j] for i in range(n) for j in range(i + 1, n)]
+    off = sorted(d[i][j] for i in range(n) for j in range(i + 1, n))
     discrete = all(close(v, 1, tol) for v in off)
-    strongly_rigid = all(
-        not close(off[a], off[b], tol)
-        for a in range(len(off))
-        for b in range(a + 1, len(off))
-    )
+    strongly_rigid = not any(close(a, b, tol) for a, b in zip(off, off[1:]))
 
-    if n == 0:
-        homogeneous = True
-    else:
-        homogeneous = len({pm.image[0] for pm in self_embeddings(space)}) == n
+    homogeneous = all(_search(space, space, tol, 1, pin=j) for j in range(n))
     return SpaceTraits(is_ultrametric(space), discrete, strongly_rigid, homogeneous)

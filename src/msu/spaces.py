@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, le
+from operator import add, eq, getitem, gt, le, mul
 from typing import Optional, Sequence
 
 from .errors import IndexRangeError, InputFormatError, InvalidMetricError
@@ -56,30 +56,51 @@ def metric_violations(
     also being reported.
 
     An exact matrix is checked on its int-scaled rows (same answers, no
-    Fraction arithmetic).  Each pair (i, j) first tests its whole tail of
-    columns k > j with plain `<=` in three C-level passes; only a pair that
-    fails one runs the per-k tolerance loop.  The passes are sound: on two
-    exact values `<=` is leq itself; where a float takes part, `a <= b + c`
-    gives float(a) <= b + c (rounding is monotone) and so leq(a, b + c, tol)
-    for every tol.  Each sum is the same IEEE operation as in the loop,
-    since addition commutes, and a NaN fails `<=`.
+    Fraction arithmetic).  Each row, and each pair (i, j) of the triangle
+    scan, first tests all its entries in C-level passes; only a row or pair
+    that fails one runs the per-entry tolerance loop, so the list, its order
+    and `limit` are those of the loop alone.  The passes are sound:
+
+    - diagonal: `v == 0` gives float(v) == 0.0, so close(v, 0, tol);
+    - symmetry: `a == b` (no identity shortcut, so NaN fails) gives
+      close(a, b, tol), as equal values stay equal as floats;
+    - positivity: `v > f and v > f * v`, with f = 0 on int rows, where it
+      is positive(v) itself, and f = tol >= 0 otherwise: an exact v is then
+      > 0, and for a float v > 0, close(v, 0, tol) reads
+      `v <= max(tol, tol * v)`, the negation of the pass;
+    - triangle: on two exact values `<=` is leq itself; where a float takes
+      part, `a <= b + c` gives float(a) <= b + c (rounding is monotone) and
+      so leq(a, b + c, tol) for every tol.  Each sum is the same IEEE
+      operation as in the loop, since addition commutes, and a NaN fails
+      `<=`.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise InputFormatError("matrix is not square")
-    matrix = integer_rows(matrix)
+    scaled = integer_rows(matrix)
+    floor = 0 if scaled is not matrix else tol
+    matrix = scaled
     out: list[Violation] = []
 
     def full() -> bool:
         return limit is not None and len(out) >= limit
 
+    if not all(map(eq, map(getitem, matrix, range(n)), repeat(0))):
+        for i in range(n):
+            if not close(matrix[i][i], 0, tol):
+                out.append(Violation(NONZERO_DIAGONAL, (i,)))
+                if full():
+                    return out
+    columns = list(zip(*matrix))
     for i in range(n):
-        if not close(matrix[i][i], 0, tol):
-            out.append(Violation(NONZERO_DIAGONAL, (i,)))
-            if full():
-                return out
-    for i in range(n):
+        ri = matrix[i][i + 1 :]
+        if (
+            all(map(eq, ri, columns[i][i + 1 :]))
+            and all(map(gt, ri, repeat(floor)))
+            and all(map(gt, ri, map(mul, ri, repeat(floor))))
+        ):
+            continue
         for j in range(i + 1, n):
             if not close(matrix[i][j], matrix[j][i], tol):
                 out.append(Violation(ASYMMETRY, (i, j)))

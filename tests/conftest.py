@@ -99,16 +99,67 @@ def random_ultrametric(rng: random.Random, n: int):
 
 
 def brute_embeddings(dom, cod):
-    """All distance-preserving injections, by exhaustive enumeration."""
+    """All distance-preserving injections, by exhaustive enumeration.
+
+    Each pair i < j compares d(j, i) with d'(image[j], image[i]), the entries
+    and argument order the embedding search reads, so float matrices whose
+    transposed entries differ in the last bit get the same answer.
+    """
     found = []
     for image in permutations(range(cod.n), dom.n):
         if all(
-            cod.close(dom.dist(i, j), cod.dist(image[i], image[j]))
+            cod.close(dom.dist(j, i), cod.dist(image[j], image[i]))
             for i in range(dom.n)
             for j in range(i + 1, dom.n)
         ):
             found.append(image)
     return found
+
+
+def loop_embeddings(dom, cod, limit=None):
+    """The point-by-point backtracking that preceded the candidate masks.
+
+    Every codomain point is tried at every level and re-compared with every
+    earlier distance; kept as an oracle for order, `limit` and float answers.
+    """
+    n, m, tol = dom.n, cod.n, max(dom.tol, cod.tol)
+    dd, cd = dom.matrix, cod.matrix
+    out, image, used = [], [0] * n, [False] * m
+
+    def extend(i):
+        if i == n:
+            out.append(tuple(image))
+            return limit is not None and len(out) >= limit
+        for j in range(m):
+            if used[j] or not all(close(dd[i][k], cd[j][image[k]], tol) for k in range(i)):
+                continue
+            used[j], image[i] = True, j
+            if extend(i + 1):
+                return True
+            used[j] = False
+        return False
+
+    extend(0)
+    return out
+
+
+def pairwise_distinct(values, tol=msu.DEFAULT_TOL):
+    """No two values close: the all-pairs scan strongly_rigid replaced."""
+    return all(
+        not close(values[a], values[b], tol)
+        for a in range(len(values))
+        for b in range(a + 1, len(values))
+    )
+
+
+def close_edge(x, tol=msu.DEFAULT_TOL):
+    """The largest float y > x with close(x, y): one ulp more is not close."""
+    y = x + max(tol, tol * x)
+    while not close(x, y, tol):
+        y = math.nextafter(y, 0)
+    while close(x, math.nextafter(y, math.inf), tol):
+        y = math.nextafter(y, math.inf)
+    return y
 
 
 def brute_line_embeddable(space):

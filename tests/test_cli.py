@@ -277,6 +277,24 @@ def test_closed_pipe_exits_with_the_verb_code(tmp_path):
     assert b"Traceback" not in err
 
 
+def test_python_m_msu_runs_the_cli(files):
+    src = os.path.dirname(os.path.dirname(msu.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    broken = os.path.join(files["dir"], "broken.json")
+    with open(broken, "w", encoding="utf-8") as fh:
+        fh.write("{")
+    for path, code, out in ((files["z"], 0, '{"exact":true,"n":3,"valid":true}\n'), (broken, 2, "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "msu", "validate", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_bad_tolerance_exit_two(files, capsys, value):
     for argv in (

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 import msu
 from conftest import (
     brute_embeddings,
+    close_edge,
     equilateral,
     from_coords,
+    loop_embeddings,
     pair,
+    pairwise_distinct,
     random_space,
     random_two_value,
     random_ultrametric,
@@ -153,3 +157,198 @@ def test_two_point_space_has_identity_and_swap():
     rep = msu.is_not_shifted(pair(1))
     assert msu.classify_space(pair(1)).strongly_rigid
     assert sorted(m.image for m in rep.isometries) == [(0, 1), (1, 0)]
+
+
+# Three distances, realised exactly or as floats.  A float 1.0 or 1.5 may
+# move to the last value still close to it or one ulp beyond, and a lower
+# triangle entry may differ from its transpose in the last bit, so float
+# answers hinge on which entry is compared with which.
+EXACT_VALUES = (1, Fraction(5, 4), Fraction(3, 2))
+FLOAT_VALUES = (1.0, 1.25, 1.5)
+EDGES = {1.0: close_edge(1.0), 1.5: close_edge(1.5)}
+
+
+def _pattern(rng, n):
+    return [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
+
+
+def _realise(rng, pattern, mode):
+    n = len(pattern)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mode == "exact":
+                rows[i][j] = rows[j][i] = EXACT_VALUES[pattern[i][j]]
+                continue
+            v = FLOAT_VALUES[pattern[i][j]]
+            if v in EDGES and rng.random() < 0.3:
+                v = EDGES[v] if rng.random() < 0.5 else math.nextafter(EDGES[v], math.inf)
+            w = v
+            if rng.random() < 0.3:
+                w = math.nextafter(v, rng.choice((0, math.inf)))
+            if mode == "int-float" and v == 1.0:
+                v = w = 1
+            rows[i][j], rows[j][i] = v, w
+    return msu.validate_space(rows)
+
+
+MODES = {
+    "exact": ("exact", "exact"),
+    "float": ("float", "float"),
+    "exact-into-float": ("exact", "float"),
+    "float-into-exact": ("float", "exact"),
+    "int-float-rows": ("int-float", "int-float"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.sampled_from(sorted(MODES)))
+def test_prop_find_embeddings_match_brute_force_in_order_and_limit(seed, modes):
+    rng = random.Random(seed)
+    dom_mode, cod_mode = MODES[modes]
+    m = rng.randint(1, 6)
+    cod_pattern = _pattern(rng, m)
+    if rng.random() < 0.6:
+        pick = rng.sample(range(m), rng.randint(1, m))
+        dom_pattern = [[cod_pattern[a][b] for b in pick] for a in pick]
+    else:
+        dom_pattern = _pattern(rng, rng.randint(1, 4))
+    dom, cod = _realise(rng, dom_pattern, dom_mode), _realise(rng, cod_pattern, cod_mode)
+    want = brute_embeddings(dom, cod)
+    assert loop_embeddings(dom, cod) == want
+    assert [pm.image for pm in msu.find_embeddings(dom, cod)] == want
+    for limit in range(1, len(want) + 1):
+        assert [pm.image for pm in msu.find_embeddings(dom, cod, limit)] == want[:limit]
+        assert loop_embeddings(dom, cod, limit) == want[:limit]
+
+
+def test_transposed_entries_are_read_as_the_search_reads_them():
+    # d'(1, 0) is close to 1.0 and d'(0, 1) one ulp beyond: only the map
+    # whose later domain point lands on codomain point 1 preserves d(1, 0).
+    edge = EDGES[1.0]
+    cod = msu.validate_space([[0, math.nextafter(edge, math.inf)], [edge, 0]])
+    maps = [pm.image for pm in msu.find_embeddings(pair(1.0), cod)]
+    assert maps == brute_embeddings(pair(1.0), cod) == [(0, 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_planted_subspaces_match_networkx(seed):
+    iso = pytest.importorskip("networkx.algorithms.isomorphism")
+    import networkx as nx
+
+    rng = random.Random(seed)
+    m, k, den = rng.randint(30, 40), rng.randint(5, 7), rng.randint(1, 3)
+    # Entries in [3, 6] / den: every triangle holds, and few values make
+    # many partial matches for the search to cut.
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(3, 6), den)
+    cod = msu.validate_space(rows)
+    planted = tuple(rng.sample(range(m), k))
+    dom = cod.restrict(planted)
+
+    def complete(space):
+        g = nx.Graph()
+        g.add_nodes_from(range(space.n))
+        for i in range(space.n):
+            for j in range(i + 1, space.n):
+                g.add_edge(i, j, d=space.dist(i, j))
+        return g
+
+    matcher = iso.GraphMatcher(complete(cod), complete(dom), edge_match=lambda a, b: a["d"] == b["d"])
+    expected = sorted(
+        tuple(c for _, c in sorted((d, c) for c, d in mapping.items()))
+        for mapping in matcher.subgraph_isomorphisms_iter()
+    )
+    maps = [pm.image for pm in msu.find_embeddings(dom, cod)]
+    assert planted in maps
+    assert maps == expected
+
+
+def _cycle(n, scale):
+    return [[scale * min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+
+
+def _homogeneity_case(rng):
+    kind = rng.randrange(4)
+    n = rng.randint(1, 6)
+    if kind == 0:
+        return _mixed_space(rng, 6)
+    if kind == 1:
+        return equilateral(n, rng.randint(1, 3))
+    if kind == 2:
+        # Blocks of one size at distance 1 inside and 2 across: homogeneous;
+        # a block of another size breaks it.
+        sizes = [rng.randint(1, 3)] * rng.randint(1, 2)
+        if rng.random() < 0.4:
+            sizes.append(rng.randint(1, 3))
+        block = [b for b, size in enumerate(sizes) for _ in range(size)]
+        return msu.validate_space(
+            [[0 if i == j else 1 if a == b else 2 for j, b in enumerate(block)] for i, a in enumerate(block)]
+        )
+    rows = _cycle(max(n, 3), Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+    if rng.random() < 0.4:
+        # Stretch one distance: the cycle is no longer vertex-transitive.
+        rows[0][1] = rows[1][0] = rows[0][1] * Fraction(5, 4)
+    return msu.validate_space(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_pinned_homogeneity_matches_the_self_maps(seed, floats):
+    space = _homogeneity_case(random.Random(seed))
+    if floats:
+        space = msu.validate_space([[float(v) for v in row] for row in space.matrix])
+    starts = {image[0] for image in loop_embeddings(space, space)}
+    assert msu.classify_space(space).homogeneous == (starts == set(range(space.n)))
+
+
+def test_homogeneity_builds_one_map_per_point(monkeypatch):
+    # All 9! self-maps of equilateral(9) were listed to decide this before.
+    built = []
+
+    def counting(image):
+        built.append(image)
+        return PointMap(image)
+
+    PointMap = msu.embed.PointMap
+    monkeypatch.setattr(msu.embed, "PointMap", counting)
+    assert msu.classify_space(equilateral(9)).homogeneous
+    assert len(built) <= 9
+
+
+def _rigidity_values(rng, kind, count):
+    if kind == "exact":
+        return [Fraction(rng.randint(8, 16), 8) for _ in range(count)]
+    if kind == "float":
+        pool = [rng.uniform(1.0, 2.0) for _ in range(count)]
+        return [rng.choice(pool) for _ in range(count)]
+    # Chains of values one tolerance step apart, and one ulp past the step:
+    # neighbours are close while the ends of a chain may not be.
+    out = []
+    while len(out) < count:
+        v = rng.uniform(1.0, 1.9)
+        for _ in range(rng.randint(1, 3)):
+            out.append(v)
+            v = close_edge(v)
+            if rng.random() < 0.5:
+                v = math.nextafter(v, math.inf)
+    return out[:count]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.sampled_from(("exact", "float", "edge")))
+def test_prop_strongly_rigid_matches_the_pairwise_scan(seed, kind):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    values = _rigidity_values(rng, kind, n * (n - 1) // 2)
+    rng.shuffle(values)
+    rows = [[0] * n for _ in range(n)]
+    it = iter(values)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(it)
+    space = msu.validate_space(rows)
+    off = [space.dist(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert msu.classify_space(space).strongly_rigid == pairwise_distinct(off, space.tol)

@@ -130,10 +130,27 @@ def _non_finite(rng, n):
     return rows
 
 
+def _near_tolerance(rng, n):
+    # Entries at and one ulp around each tolerance tried below, subnormals,
+    # signed zeros and last-bit asymmetry: the edges of the row pre-passes.
+    edges = [0.0, -0.0, 5e-324, 1.0, 3.0, 2.0**1000]
+    for t in (1e-12, 1e-9, 2.0):
+        edges += [t, math.nextafter(t, 0), math.nextafter(t, math.inf), 2 * t]
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.1:
+            rows[i][i] = rng.choice(edges)
+        for j in range(i + 1, n):
+            v = rng.choice(edges) if rng.random() < 0.3 else rng.uniform(1.0, 2.0)
+            w = math.nextafter(v, math.inf) if rng.random() < 0.2 else v
+            rows[i][j], rows[j][i] = v, w
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**30),
-    st.sampled_from((_planted, _float_grid, _mixed, _non_finite)),
+    st.sampled_from((_planted, _float_grid, _mixed, _non_finite, _near_tolerance)),
     st.sampled_from((1e-12, 1e-9, 2.0)),
 )
 def test_prop_metric_violations_match_the_triple_scan(seed, build, tol):
@@ -159,4 +176,27 @@ def test_valid_exact_input_makes_no_per_triple_call(monkeypatch):
     top = max(max(r) for r in rows)
     rows[3][17] = rows[17][3] = 3 * top
     assert any(v.kind == "triangle" for v in msu.metric_violations(rows))
+    assert calls
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_valid_input_makes_no_per_entry_call(monkeypatch, floats):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(msu.spaces, name, wrapped)
+
+    counting("close", msu.scalars.close)
+    counting("positive", msu.scalars.positive)
+    rows = random_rational_metric(random.Random(41), 40)
+    if floats:
+        rows = [[float(v) for v in row] for row in rows]
+    assert msu.metric_violations(rows) == []
+    assert not calls
+    rows[5][9] = -rows[5][9]
+    assert [v.kind for v in msu.metric_violations(rows, limit=1)] == ["asymmetry"]
     assert calls
