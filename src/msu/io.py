@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import InputFormatError
-from .families import SpaceFamily
-from .graphs import WeightedGraph, build_graph
-from .rays import Triangle
 from .scalars import DEFAULT_TOL, format_number, parse_number
 from .spaces import FiniteMetricSpace, validate_space
+
+if TYPE_CHECKING:  # the loaders below import these modules on first use
+    from .families import SpaceFamily
+    from .graphs import WeightedGraph
+    from .rays import Triangle
 
 
 def read_json(path: str) -> object:
@@ -50,6 +52,8 @@ def space_payload(space: FiniteMetricSpace) -> dict:
 
 def load_graph(obj: object, tol: float = DEFAULT_TOL) -> WeightedGraph:
     """Build a graph from {"vertices": [...], "edges": [[u, v, w] ...]}."""
+    from .graphs import build_graph
+
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InputFormatError('expected an object with "vertices" and "edges"')
     vertices = obj["vertices"]
@@ -66,12 +70,11 @@ def load_graph(obj: object, tol: float = DEFAULT_TOL) -> WeightedGraph:
     return build_graph(vertices, triples, tol=tol)
 
 
-TriangleOrSpace = Union[Triangle, FiniteMetricSpace]
-
-
-def load_triangle(obj: object, tol: float = DEFAULT_TOL) -> TriangleOrSpace:
+def load_triangle(obj: object, tol: float = DEFAULT_TOL) -> Union[Triangle, FiniteMetricSpace]:
     """Accept {"sides": [a,b,c]} or a 3-point metric-space object."""
     if isinstance(obj, dict) and "sides" in obj:
+        from .rays import Triangle
+
         sides = obj["sides"]
         if not isinstance(sides, list) or len(sides) != 3:
             raise InputFormatError('"sides" must be a list of three numbers')
@@ -82,6 +85,8 @@ def load_triangle(obj: object, tol: float = DEFAULT_TOL) -> TriangleOrSpace:
 
 def load_family(paths: list[str], tol: float = DEFAULT_TOL) -> SpaceFamily:
     """Family from a directory, a JSON-array file, or several space files."""
+    from .families import SpaceFamily
+
     if len(paths) == 1 and os.path.isdir(paths[0]):
         names = sorted(
             os.path.join(paths[0], f)
