@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .errors import InputFormatError
 from .scalars import close, leq
 from .spaces import FiniteMetricSpace
 
@@ -110,8 +111,10 @@ def find_embeddings(
     """All (or up to `limit`) distance-preserving injections domain -> codomain.
 
     Output is sorted by image tuple, lexicographically; the empty space embeds
-    via the empty map.
+    via the empty map.  A `limit` below 1 raises InputFormatError.
     """
+    if limit is not None and limit < 1:
+        raise InputFormatError(f"limit must be at least 1, got {limit!r}")
     n, m = domain.n, codomain.n
     if n == 0:
         return [PointMap(())]

@@ -11,6 +11,7 @@ from .between import line_realization
 from .errors import (
     AlphaRangeError,
     DegenerateTriangleError,
+    IndexRangeError,
     InputFormatError,
     InternalCheckError,
     InvalidTripleError,
@@ -374,8 +375,12 @@ def solve_constrained_embedding(
     placements as well.  Roots are kept when the planar distances check
     out, every coordinate is admissible for the origin rule, and no image
     point comes within tol of a forbidden point.  An empty result means
-    no placement exists.
+    no placement exists.  A forbidden point on a ray the space does not
+    have raises IndexRangeError.
     """
+    for f in forbidden:
+        if not 0 <= f.ray < len(rays.angles):
+            raise IndexRangeError(f"forbidden point {f.ray}:{f.t!r} is on no ray of the space")
     pair = _pair_distances(tri)
     pairs = [(0, 1, pair[0]), (0, 2, pair[1]), (1, 2, pair[2])]
     flat = _is_flat(pair)

@@ -8,7 +8,7 @@ absolute-or-relative tolerance. Exact values never compare fuzzily.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InputFormatError
@@ -61,7 +61,12 @@ def integer_rows(matrix: Sequence[Sequence[Number]]) -> Sequence[Sequence[Number
 
 
 def parse_number(raw: object) -> Number:
-    """Decode one JSON numeric entry: a number, or a "p/q" string."""
+    """Decode one JSON numeric entry: a number, or a "p/q" string.
+
+    Python's json module reads NaN, Infinity and overflowing literals such
+    as 1e400 as floats; those are rejected here, since no distance or
+    parameter of this package is infinite.
+    """
     if isinstance(raw, str):
         try:
             value = Fraction(raw)
@@ -73,6 +78,8 @@ def parse_number(raw: object) -> Number:
     if isinstance(raw, int):
         return raw
     if isinstance(raw, float):
+        if not isfinite(raw):
+            raise InputFormatError(f"non-finite number {raw!r}")
         return raw
     raise InputFormatError(f"cannot read {raw!r} as a number")
 

@@ -396,3 +396,66 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-verb"])
     assert exc.value.code == 2
+
+
+def write_raw(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        (["tripod", "embed"], '{"sides": [1, 1, Infinity]}'),
+        (["tripod", "embed"], '{"sides": [1, 1, NaN]}'),
+        (["metrize"], '{"vertices": ["a", "b"], "edges": [["a", "b", NaN]]}'),
+        (["validate"], '{"matrix": [[0, NaN], [NaN, 0]]}'),
+        (["validate"], '{"matrix": [[0, Infinity], [Infinity, 0]]}'),
+        (["validate"], '{"matrix": [[0, 1e400], [1e400, 0]]}'),
+    ],
+    ids=["sides-inf", "sides-nan", "weight-nan", "entry-nan", "entry-inf", "entry-1e400"],
+)
+def test_non_finite_file_entries_exit_two(tmp_path, capsys, verb, text):
+    code, out, err = run(capsys, verb + [write_raw(tmp_path, "f.json", text)])
+    assert code == 2 and out == "" and err.startswith("error: non-finite number")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tripod", "witness", "--t", "inf"],
+        ["tripod", "witness", "--t", "nan"],
+        ["xalpha", "witness", "--alpha", "0.7", "--t", "1e400"],
+        ["xalpha", "witness", "--alpha", "nan", "--t", "1"],
+        ["xalpha", "embed", "{eqtri}", "--alpha", "inf"],
+        ["tripod", "check", "{eqtri}", "--forbid", "0:inf"],
+        ["xalpha", "check", "{eqtri}", "--alpha", "0.5", "--forbid", "1:nan"],
+    ],
+)
+def test_non_finite_float_options_exit_two(files, capsys, argv):
+    code, out, err = run(capsys, [a.format(**files) for a in argv])
+    assert code == 2 and out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tripod", "check", "{eqtri}", "--forbid", "9:1"],
+        ["tripod", "check", "{eqtri}", "--forbid=-1:1"],
+        ["xalpha", "check", "{eqtri}", "--alpha", "0.5", "--forbid", "2:1"],
+        ["tripod", "witness", "--ray", "5", "--t", "1"],
+        ["tripod", "witness", "--ray", "-1", "--t", "1"],
+        ["xalpha", "witness", "--alpha", "0.7", "--ray", "3", "--t", "1"],
+        ["xalpha", "witness", "--alpha", "0.7", "--ray", "2", "--t", "1"],
+    ],
+)
+def test_ray_outside_the_space_exits_two(files, capsys, argv):
+    code, out, err = run(capsys, [a.format(**files) for a in argv])
+    assert code == 2 and out == "" and err.startswith("error:") and "ray" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_embed_limit_below_one_exits_two(files, capsys, limit):
+    code, out, err = run(capsys, ["embed", files["z"], files["z"], "--limit", limit])
+    assert code == 2 and out == "" and "limit must be at least 1" in err

@@ -46,6 +46,15 @@ def test_limit_truncates_deterministically():
     assert [m.image for m in first] == [m.image for m in msu.find_embeddings(e, e)][:2]
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_is_rejected(limit):
+    e = equilateral(3)
+    with pytest.raises(msu.InputFormatError, match="limit"):
+        msu.find_embeddings(e, e, limit=limit)
+    with pytest.raises(msu.InputFormatError):
+        msu.find_embeddings(e, equilateral(2), limit=limit)
+
+
 def test_empty_domain_single_trivial_map():
     empty = msu.FiniteMetricSpace((), (), True, msu.DEFAULT_TOL)
     maps = msu.find_embeddings(empty, equilateral(3))

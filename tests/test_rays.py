@@ -196,6 +196,17 @@ def test_solver_punctured_tripod_empty():
     assert msu.solve_constrained_embedding(w, TRIPOD, forbidden=[e]) == []
 
 
+@pytest.mark.parametrize("ray", [3, 9, -1])
+def test_solver_rejects_a_forbidden_point_on_a_missing_ray(ray):
+    w = msu.witness_triangle_tripod(msu.RayPoint(0, 1.0))
+    with pytest.raises(msu.IndexRangeError):
+        msu.solve_constrained_embedding(w, TRIPOD, forbidden=[msu.RayPoint(ray, 1.0)])
+    with pytest.raises(msu.IndexRangeError):
+        msu.solve_constrained_embedding(
+            w, msu.RaySpace.two_rays(0.5), forbidden=[msu.RayPoint(ray if ray != 3 else 2, 1.0)]
+        )
+
+
 def test_solver_unpunctured_unique_image():
     w = msu.witness_triangle_tripod(msu.RayPoint(0, 1.0))
     sols = msu.solve_constrained_embedding(w, TRIPOD, forbidden=[])

@@ -31,6 +31,13 @@ def test_parse_number_rejects_bool_and_junk():
         parse_number(None)
 
 
+@pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf"), 1e400])
+def test_parse_number_rejects_non_finite_floats(raw):
+    # json.loads reads NaN, Infinity and 1e400 as floats.
+    with pytest.raises(msu.InputFormatError, match="non-finite"):
+        parse_number(raw)
+
+
 def test_format_number_round_trip():
     assert format_number(Fraction(3, 4)) == "3/4"
     assert format_number(2) == "2"
