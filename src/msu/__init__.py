@@ -5,7 +5,7 @@ Names resolve on first use (PEP 562): `msu.find_embeddings` imports
 modules it touches.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 # Every submodule, with the public names it exports through the package.
 _EXPORTS = {
@@ -69,10 +69,10 @@ __all__ = sorted(_OWNER)
 
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _import_module(f"{__name__}.{name}")
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
     globals()[name] = value
     return value
 

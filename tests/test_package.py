@@ -95,7 +95,3 @@ def readme_verb_paths():
 
 def test_readme_table_names_exactly_the_verbs():
     assert readme_verb_paths() == set(cli._VERBS)
-
-
-def test_every_group_holds_a_verb():
-    assert {path[0] for path in cli._VERBS if len(path) == 2} == set(cli._GROUPS)
