@@ -81,10 +81,10 @@ def _validated_sides(
     sides, _ = coerce_entries([d12, d13, d23])
     for v in sides:
         if not positive(v, tol):
-            raise InvalidTripleError(f"side {v!r} is not positive")
+            raise InvalidTripleError(f"side {v} is not positive")
     a, b, c = sides
     if not (leq(a, b + c, tol) and leq(b, a + c, tol) and leq(c, a + b, tol)):
-        raise InvalidTripleError(f"sides {a!r}, {b!r}, {c!r} violate the triangle inequality")
+        raise InvalidTripleError(f"sides {a}, {b}, {c} violate the triangle inequality")
     return sides
 
 

@@ -97,16 +97,7 @@ def _space_tol(args: argparse.Namespace) -> float:
 
 
 def _eps_geo(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("MSU_TOL")
-    if env:
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise msu.InputFormatError(f"MSU_TOL={env!r} is not a number") from exc
-        return _positive("MSU_TOL", value)
-    return msu.EPS_GEO
+    return args.tol if args.tol is not None else msu.EPS_GEO
 
 
 def _space(path: str, args: argparse.Namespace):
@@ -124,7 +115,12 @@ def _family(args: argparse.Namespace):
 def _part_param(raw: str, parts):
     """A numeric parameter in the mode of the parts it joins: float if any is."""
     value = msu.parse_number(raw)
-    return value if all(p.exact for p in parts) else float(value)
+    if all(p.exact for p in parts):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise msu.InputFormatError(f"{raw!r} is too large for a float") from None
 
 
 def _int_list(raw: str) -> list[int]:
@@ -147,10 +143,10 @@ def _verified(union, args):
     return _answer(report.passed, payload)
 
 
-def _m_point(raw: str):
+def _m_point(raw: str, quads):
     kind, _, rest = raw.partition(":")
     if kind == "r" and rest:
-        return msu.RealPoint(msu.parse_number(rest))
+        return msu.RealPoint(_part_param(rest, quads))
     if kind == "q" and rest:
         part, _, point = rest.partition(".")
         try:
@@ -161,14 +157,16 @@ def _m_point(raw: str):
 
 
 def _bridged(args):
-    """The quadruple union, the bridge and the --point list of an mspace verb."""
-    union = msu.union_pl_quadruples([_space(p, args) for p in args.quads])
+    """The quadruple union, the bridge and the --point list of an mspace
+    verb; numbers take the mode of the quadruple files."""
+    quads = [_space(p, args) for p in args.quads]
+    union = msu.union_pl_quadruples(quads)
     bridge = msu.BridgeParams(
-        msu.parse_number(args.bridge_p),
+        _part_param(args.bridge_p, quads),
         msu.TaggedPoint(args.bridge_part, args.bridge_point),
-        msu.parse_number(args.bridge_r),
+        _part_param(args.bridge_r, quads),
     )
-    return union, bridge, [_m_point(p) for p in args.point or []]
+    return union, bridge, [_m_point(p, quads) for p in args.point or []]
 
 
 def _witness_point(args, ray_count: int):
@@ -388,7 +386,7 @@ def _tripod_embed(args):
     pts = msu.embed_triple_tripod(tri, eps_geo=_eps_geo(args))
     payload = {"points": _ray_points(msu.RaySpace.tripod(), pts)}
     try:
-        payload["ft"] = msu.fermat_torricelli(tri, eps_geo=_eps_geo(args)).payload()
+        payload["ft"] = msu.fermat_torricelli(tri).payload()
     except msu.MsuError:
         payload["ft"] = None
     return 0, payload

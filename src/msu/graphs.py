@@ -122,7 +122,7 @@ def build_graph(
     weights, exact = coerce_entries(raw_weights)
     for w in weights:
         if w < 0:
-            raise InputFormatError(f"negative edge weight {w!r}")
+            raise InputFormatError(f"negative edge weight {w}")
     triples = sorted(
         (u, v, w) for (u, v), w in zip(pairs, weights)
     )

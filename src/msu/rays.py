@@ -57,8 +57,7 @@ class Triangle:
         return (self.a, self.b, self.c)
 
     def is_degenerate(self) -> bool:
-        a, b, c = sorted(self.sides())
-        return math.isclose(c, a + b, rel_tol=EPS_GEO, abs_tol=EPS_GEO)
+        return _is_flat(self.sides())
 
     def payload(self) -> dict:
         return {"sides": [self.a, self.b, self.c]}
@@ -176,7 +175,7 @@ class FTResult:
         }
 
 
-def fermat_torricelli(tri: TriangleLike, eps_geo: float = EPS_GEO) -> FTResult:
+def fermat_torricelli(tri: TriangleLike) -> FTResult:
     """Minimize the sum of distances to the three vertices.
 
     Interior case distances satisfy r_i^2 + r_j^2 + r_i r_j = d(i,j)^2,
@@ -219,27 +218,30 @@ def _triangle_area(pair: tuple[float, float, float]) -> float:
     return math.sqrt(max(s, 0.0)) / 4
 
 
-def _as_space(pair: tuple[float, float, float]) -> FiniteMetricSpace:
+def _flat_placement(pair: tuple[float, float, float], start: float) -> list[RayPoint]:
+    """A flat triple in its line order on ray 0, the near end at start."""
     d01, d02, d12 = pair
-    return validate_space(
+    line = line_realization(validate_space(
         [[0.0, d01, d02], [d01, 0.0, d12], [d02, d12, 0.0]], tol=max(DEFAULT_TOL, EPS_GEO)
-    )
+    ))
+    if line is None:
+        raise InternalCheckError("flat triple failed to line up")
+    lo = min(line.coords)
+    return [RayPoint(0, float(t - lo) + start) for t in line.coords]
 
 
-def _verify_points(
+def _distances_ok(
     rays: RaySpace,
     pts: Sequence[RayPoint],
     pair: tuple[float, float, float],
     eps_geo: float,
-) -> None:
-    for i in range(3):
-        for j in range(i + 1, 3):
-            want = _dist_of(pair, i, j)
-            got = rays.point_distance(pts[i], pts[j])
-            if abs(got - want) > eps_geo * max(1.0, want):
-                raise InternalCheckError(
-                    f"embedding distance {got} drifted from {want}"
-                )
+) -> bool:
+    """Whether the points lie the distances (d01, d02, d12) apart in the
+    plane, within eps_geo relative (absolute below 1)."""
+    return not any(
+        abs(rays.point_distance(pts[i], pts[j]) - want) > eps_geo * max(1.0, want)
+        for i, j, want in ((0, 1, pair[0]), (0, 2, pair[1]), (1, 2, pair[2]))
+    )
 
 
 def embed_triple_tripod(
@@ -254,37 +256,27 @@ def embed_triple_tripod(
     """
     rays = RaySpace.tripod()
     pair = _pair_distances(tri)
-
     if _is_flat(pair):
-        line = line_realization(_as_space(pair))
-        if line is None:
-            raise InternalCheckError("flat triple failed to line up")
-        lo = min(line.coords)
-        pts = [RayPoint(0, float(t - lo)) for t in line.coords]
-        _verify_points(rays, pts, pair, eps_geo)
-        return pts
-
-    cosines = [_vertex_cos(pair, v) for v in range(3)]
-    wide = [v for v in range(3) if cosines[v] <= -0.5 + 1e-12]
-    if wide:
-        v = wide[0]
-        g, e = (v + 1) % 3, (v + 2) % 3
-        beta = math.acos(max(-1.0, min(1.0, cosines[v])))
-        e_len = _dist_of(pair, v, e)
-        g_len = _dist_of(pair, v, g)
-        t_f = max(0.0, -e_len * (math.cos(beta) + math.sin(beta) / math.sqrt(3.0)))
-        s = 2 * e_len * math.sin(beta) / math.sqrt(3.0)
-        out: list[Optional[RayPoint]] = [None, None, None]
-        out[v] = RayPoint(0, t_f)
-        out[g] = RayPoint(0, t_f + g_len)
-        out[e] = RayPoint(1, s)
-        _verify_points(rays, out, pair, eps_geo)  # type: ignore[arg-type]
-        return out  # type: ignore[return-value]
-
-    ft = fermat_torricelli(tri, eps_geo)
-    assert ft.distances is not None
-    pts = [RayPoint(v, ft.distances[v]) for v in range(3)]
-    _verify_points(rays, pts, pair, eps_geo)
+        pts = _flat_placement(pair, 0.0)
+    else:
+        cosines = [_vertex_cos(pair, v) for v in range(3)]
+        wide = [v for v in range(3) if cosines[v] <= -0.5 + 1e-12]
+        if wide:
+            v = wide[0]
+            g, e = (v + 1) % 3, (v + 2) % 3
+            beta = math.acos(max(-1.0, min(1.0, cosines[v])))
+            e_len = _dist_of(pair, v, e)
+            g_len = _dist_of(pair, v, g)
+            t_f = max(0.0, -e_len * (math.cos(beta) + math.sin(beta) / math.sqrt(3.0)))
+            s = 2 * e_len * math.sin(beta) / math.sqrt(3.0)
+            at = {v: RayPoint(0, t_f), g: RayPoint(0, t_f + g_len), e: RayPoint(1, s)}
+            pts = [at[k] for k in range(3)]
+        else:
+            ft = fermat_torricelli(tri)
+            assert ft.distances is not None
+            pts = [RayPoint(v, ft.distances[v]) for v in range(3)]
+    if not _distances_ok(rays, pts, pair, eps_geo):
+        raise InternalCheckError(f"placement drifted from the distances {pair}")
     return pts
 
 
@@ -300,31 +292,23 @@ def embed_triple_two_rays(
     """
     rays = RaySpace.two_rays(alpha)
     pair = _pair_distances(tri)
-
     if _is_flat(pair):
-        line = line_realization(_as_space(pair))
-        if line is None:
-            raise InternalCheckError("flat triple failed to line up")
-        lo = min(line.coords)
-        pts = [RayPoint(0, float(t - lo) + 0.5) for t in line.coords]
-        _verify_points(rays, pts, pair, eps_geo)
-        return pts
-
-    order = sorted(range(3), key=lambda v: _vertex_cos(pair, v))
-    v = order[0]
-    gamma = math.acos(max(-1.0, min(1.0, _vertex_cos(pair, v))))
-    u, w = [x for x in range(3) if x != v]
-    p_len = _dist_of(pair, v, w)
-    q1 = p_len * math.sin(gamma - alpha) / math.sin(alpha)
-    if q1 <= 1e-12 * p_len:
-        return None
-    t_p = p_len * math.sin(gamma) / math.sin(alpha)
-    out: list[Optional[RayPoint]] = [None, None, None]
-    out[v] = RayPoint(0, q1)
-    out[u] = RayPoint(0, q1 + _dist_of(pair, v, u))
-    out[w] = RayPoint(1, t_p)
-    _verify_points(rays, out, pair, eps_geo)  # type: ignore[arg-type]
-    return out  # type: ignore[return-value]
+        pts = _flat_placement(pair, 0.5)
+    else:
+        order = sorted(range(3), key=lambda v: _vertex_cos(pair, v))
+        v = order[0]
+        gamma = math.acos(max(-1.0, min(1.0, _vertex_cos(pair, v))))
+        u, w = [x for x in range(3) if x != v]
+        p_len = _dist_of(pair, v, w)
+        q1 = p_len * math.sin(gamma - alpha) / math.sin(alpha)
+        if q1 <= 1e-12 * p_len:
+            return None
+        t_p = p_len * math.sin(gamma) / math.sin(alpha)
+        at = {v: RayPoint(0, q1), u: RayPoint(0, q1 + _dist_of(pair, v, u)), w: RayPoint(1, t_p)}
+        pts = [at[k] for k in range(3)]
+    if not _distances_ok(rays, pts, pair, eps_geo):
+        raise InternalCheckError(f"placement drifted from the distances {pair}")
+    return pts
 
 
 def witness_triangle_tripod(e: RayPoint) -> Triangle:
@@ -382,7 +366,6 @@ def solve_constrained_embedding(
         if not 0 <= f.ray < len(rays.angles):
             raise IndexRangeError(f"forbidden point {f.ray}:{f.t!r} is on no ray of the space")
     pair = _pair_distances(tri)
-    pairs = [(0, 1, pair[0]), (0, 2, pair[1]), (1, 2, pair[2])]
     flat = _is_flat(pair)
     fpts = [rays.planar(f) for f in forbidden]
 
@@ -405,7 +388,7 @@ def solve_constrained_embedding(
             if not rays.include_origin and min(ts) <= tol:
                 continue
             pts = [RayPoint(assign[v], ts[v]) for v in range(3)]
-            if not _distances_ok(rays, pts, pairs, eps_geo):
+            if not _distances_ok(rays, pts, pair, eps_geo):
                 continue
             if any(math.dist(rays.planar(p), f) < tol for p in pts for f in fpts):
                 continue
@@ -518,15 +501,3 @@ def _one_ray_roots(
         roots.append(tuple(s + u for u in offs))
     return roots
 
-
-def _distances_ok(
-    rays: RaySpace,
-    pts: list[RayPoint],
-    pairs: list[tuple[int, int, float]],
-    eps_geo: float,
-) -> bool:
-    for i, j, want in pairs:
-        got = rays.point_distance(pts[i], pts[j])
-        if abs(got - want) > eps_geo * max(1.0, want):
-            return False
-    return True

@@ -23,7 +23,7 @@ class F2Neg:
 
     def __post_init__(self) -> None:
         if not 0 < self.t < 1:
-            raise InputFormatError(f"negative-side offset {self.t!r} outside (0,1)")
+            raise InputFormatError(f"negative-side offset {self.t} outside (0,1)")
 
     def coordinate(self) -> Number:
         return -self.t
@@ -71,7 +71,7 @@ def f2_embed_distance(t: Number) -> tuple[F2Point, F2Point]:
     Rational input gives a rational (exact) pair.
     """
     if isinstance(t, bool) or not t > 0:
-        raise NonpositiveDistanceError(f"distance {t!r} must be positive")
+        raise NonpositiveDistanceError(f"distance {t} must be positive")
     n, frac = _split(t)
     if frac == 0:
         return (F2Nat(1), F2Nat(1 + n))
@@ -103,13 +103,13 @@ def interval_embed(
     strictly, else in the left gap, else none exists.
     """
     if isinstance(t, bool) or not 0 < t < 1:
-        raise LengthRangeError(f"length {t!r} outside (0,1)")
+        raise LengthRangeError(f"length {t} outside (0,1)")
     if puncture is None:
         lo = (1 - t) / 2
         return (lo, lo + t)
     p = puncture
     if isinstance(p, bool) or not 0 < p < 1:
-        raise InputFormatError(f"puncture {p!r} outside (0,1)")
+        raise InputFormatError(f"puncture {p} outside (0,1)")
     if t < 1 - p:
         lo = p + (1 - p - t) / 2
         return (lo, lo + t)

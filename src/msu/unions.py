@@ -18,7 +18,6 @@ from .errors import (
     EpsilonTooSmallError,
     IndexRangeError,
     InputFormatError,
-    InternalCheckError,
     IsometricDuplicateError,
     NonpositiveDistanceError,
     NotPseudolinearError,
@@ -27,7 +26,6 @@ from .errors import (
     SeparatorError,
 )
 from .between import is_pseudolinear
-from .graphs import build_graph, shortest_path_pseudometric
 from .scalars import (
     DEFAULT_TOL,
     Number,
@@ -112,9 +110,10 @@ def _assemble(
     """Build the union matrix from part metrics and a cross-distance rule.
 
     cross(i, x, j, y) gives the distance between point x of part i and
-    point y of part j for i < j.  The result is validated.  Each block of
-    the matrix is a verbatim copy of its part's matrix, so the restriction
-    to a block is that part's metric.
+    point y of part j for i < j.  Each block of the matrix is a verbatim
+    copy of its part's matrix, so the restriction to a block is that part's
+    metric.  The result is not re-validated: each builder's docstring
+    proves that its rule gives a metric.
     """
     blocks = _blocks(parts)
     n = sum(part.n for part in parts)
@@ -130,8 +129,7 @@ def _assemble(
                     v = cross(i, a, j, b)
                     rows[blocks[i][a]][blocks[j][b]] = v
                     rows[blocks[j][b]][blocks[i][a]] = v
-    space = validate_space(rows, _union_labels(parts), tol=tol)
-    return UnionSpace(space, tuple(blocks), provenance)
+    return UnionSpace(metric_space(rows, _union_labels(parts), tol), tuple(blocks), provenance)
 
 
 def _common_tol(parts: Sequence[FiniteMetricSpace]) -> float:
@@ -164,7 +162,7 @@ def glue_ultrametric_pair(
     if not 0 <= y0 < y.n:
         raise IndexRangeError(f"base point {y0} out of range")
     if not positive(r0, tol):
-        raise NonpositiveDistanceError(f"joint distance {r0!r} must be positive")
+        raise NonpositiveDistanceError(f"joint distance {r0} must be positive")
 
     def cross(i: int, a: int, j: int, b: int) -> Number:
         return max(x.matrix[a][x0], r0, y.matrix[y0][b])
@@ -182,13 +180,16 @@ def glue_constant(
 ) -> UnionSpace:
     """Join two spaces with every cross distance equal to r0.
 
-    Requires r0 positive and at least both diameters.
+    Requires r0 positive and at least both diameters.  The result is a
+    metric: a triple has two points in one part, so its sides are some d
+    at most a diameter, hence at most r0 (up to tolerance in float mode),
+    and r0 twice; d <= r0 + r0 and r0 <= d + r0.
     """
     tol = _common_tol([x1, x2])
     lo = max(x1.diameter(), x2.diameter())
     if not positive(r0, tol) or not leq(lo, r0, tol):
         raise RadiusTooSmallError(
-            f"joint distance {r0!r} must be positive and at least {lo!r}"
+            f"joint distance {r0} must be positive and at least {lo}"
         )
     return _assemble(
         [x1, x2],
@@ -239,18 +240,27 @@ def union_epsilon_connected(
 ) -> UnionSpace:
     """Union of parts joined through anchor points at pairwise distance eps1.
 
-    Builds the weighted graph that is complete inside each part (original
-    distances) and complete on the anchor set (weight eps1), then takes
-    shortest-path distances.  eps1 must strictly exceed every part's
-    connectivity threshold; each block restriction is preserved verbatim.
+    The metric is that of shortest paths in the graph that is complete
+    inside each part (original distances) and on the anchors x_i (weight
+    eps1), in closed form: for a in part i and b in part j != i,
+    d(a, b) = d_i(a, x_i) + eps1 + d_j(x_j, b); inside a part the
+    distances are the part's own.  eps1 must strictly exceed every part's
+    connectivity threshold.
 
-    The result is a metric without re-validation.  Shortest paths on a
-    connected graph with positive weights satisfy the triangle inequality
-    and separate distinct points.  A path between two points of one part
-    that leaves the part must leave and re-enter through its anchor, so it
-    is no shorter than the direct in-part edge (the part's own metric
-    obeys the triangle inequality); the in-part distances survive, and the
-    loop below pins them to the input values against float drift.
+    Proof.  Only anchor edges join parts, so a path from a to b leaves part
+    i through x_i, enters part j through x_j and uses an anchor edge; by
+    the parts' triangle inequalities it is no shorter than a, x_i, x_j, b.
+    A path that leaves a part and comes back does so through the anchor,
+    so it is no shorter than the direct edge.  Shortest paths on a
+    connected graph with positive weights form a metric, so the result is
+    not re-validated.
+
+    Blocks hold each part's upper triangle, mirrored, and int 0 on the
+    diagonal, which also serves as the leg from an anchor to itself: an
+    exact entry is an int exactly when its terms are.  A float entry is
+    the one sum, left to right, so it may differ in the last bit from a
+    float shortest-path search, which can take an in-part detour that
+    only rounding made shorter.
     """
     parts = list(parts)
     if not parts:
@@ -274,40 +284,25 @@ def union_epsilon_connected(
             threshold = t
     if leq(eps1, threshold, tol):
         raise EpsilonTooSmallError(
-            f"anchor distance {eps1!r} must exceed the connectivity threshold {threshold!r}"
+            f"anchor distance {eps1} must exceed the connectivity threshold {threshold}"
         )
 
-    labels = _union_labels(parts)
     blocks = _blocks(parts)
-    edges: list[tuple[int, int, Number]] = []
-    for k, part in enumerate(parts):
+    n = sum(part.n for part in parts)
+    rows: list[list[Number]] = [[0] * n for _ in range(n)]
+    for part, block in zip(parts, blocks):
         for a in range(part.n):
             for b in range(a + 1, part.n):
-                edges.append((blocks[k][a], blocks[k][b], part.matrix[a][b]))
-    anchor_ids = [blocks[k][anchors[k]] for k in range(len(parts))]
-    for i in range(len(anchor_ids)):
-        for j in range(i + 1, len(anchor_ids)):
-            edges.append((anchor_ids[i], anchor_ids[j], eps1))
-
-    graph = build_graph(labels, edges, tol=tol)
-    rows = shortest_path_pseudometric(graph)
-
-    # Shortest paths realize every in-part distance; pin them bit-exactly.
-    weight = {(i, j): w for i, j, w in graph.edges}
-    for k, part in enumerate(parts):
-        for a in range(part.n):
-            for b in range(a + 1, part.n):
-                gi, gj = blocks[k][a], blocks[k][b]
-                w = weight[(gi, gj) if gi < gj else (gj, gi)]
-                if not close(rows[gi][gj], w, tol):
-                    raise InternalCheckError(
-                        "anchored union failed to realize a part distance"
-                    )
-                rows[gi][gj] = w
-                rows[gj][gi] = w
+                rows[block[a]][block[b]] = rows[block[b]][block[a]] = part.matrix[a][b]
+    hubs = [block[x] for block, x in zip(blocks, anchors)]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            for g in blocks[i]:
+                for h in blocks[j]:
+                    rows[g][h] = rows[h][g] = rows[g][hubs[i]] + eps1 + rows[hubs[j]][h]
 
     return UnionSpace(
-        metric_space(rows, labels, tol),
+        metric_space(rows, _union_labels(parts), tol),
         tuple(blocks),
         {
             "builder": "union_epsilon_connected",
@@ -355,17 +350,17 @@ def union_ultrametric_family(
             raise InputFormatError("distances must be strictly ascending")
         if close(ts[i - 1], ts[i], tol):
             raise InputFormatError(
-                f"distances {ts[i - 1]!r} and {ts[i]!r} are equal within tolerance"
+                f"distances {ts[i - 1]} and {ts[i]} are equal within tolerance"
             )
     if not positive(ts[0], tol):
-        raise InputFormatError(f"distance {ts[0]!r} is not positive")
+        raise InputFormatError(f"distance {ts[0]} is not positive")
 
     def gap_top(t: Number) -> Number:
         k = bisect_left(seps, t)
         if k >= len(seps):
-            raise SeparatorError(f"distance {t!r} is above every separator")
+            raise SeparatorError(f"distance {t} is above every separator")
         if close(seps[k], t, tol) or close(seps[k - 1], t, tol):
-            raise SeparatorError(f"distance {t!r} equals a separator")
+            raise SeparatorError(f"distance {t} equals a separator")
         return seps[k]
 
     for t in ts:
@@ -392,7 +387,11 @@ def union_pl_quadruples(quads: Sequence[FiniteMetricSpace]) -> UnionSpace:
     """Union of pseudo-linear quadruples at cross distance max of diameters.
 
     Parts must be pairwise non-isometric; within a part the original
-    metric survives verbatim.
+    metric survives verbatim.  The result is a metric.  Write D_i for the
+    diameter of part i, positive as a quadruple has distinct points.  Two
+    points of part i are at most D_i <= max(D_i, D_j) apart, so a triangle
+    with two points in part i and one in part j holds; for one point from
+    each of parts i, j, k, max(D_i, D_j) <= max(D_i, D_k) + max(D_k, D_j).
     """
     quads = list(quads)
     if not quads:
@@ -455,7 +454,7 @@ class BridgeParams:
 
     def __post_init__(self) -> None:
         if not positive(self.r, DEFAULT_TOL):
-            raise NonpositiveDistanceError(f"bridge length {self.r!r} must be positive")
+            raise NonpositiveDistanceError(f"bridge length {self.r} must be positive")
 
 
 def m_distance(
@@ -505,7 +504,7 @@ def sample_m_space(
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if points[i] == points[j]:
-                raise DuplicatePointError(f"point {points[i]!r} repeated")
+                raise DuplicatePointError(f"point {_m_label(points[i])} repeated")
     n = len(points)
     rows: list[list[Number]] = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -15,6 +15,7 @@ Z_DOC = {
 PAIR1 = {"matrix": [["0", "1"], ["1", "0"]]}
 PAIR2 = {"matrix": [["0", "2"], ["2", "0"]]}
 BAD = {"matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 TRI113 = {
     "vertices": ["a", "b", "c"],
     "edges": [["a", "b", 1], ["b", "c", 1], ["a", "c", 3]],
@@ -177,6 +178,28 @@ def test_union_eps_check_reads_eps_in_the_part_mode(tmp_path, capsys):
     assert out == '{"connected":true,"eps":1.5,"threshold":1.5}\n'
 
 
+def test_union_parameter_beyond_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "f0.json"
+    path.write_text(json.dumps({"matrix": [[0.0, 1.5], [1.5, 0.0]]}))
+    code, out, err = run(capsys, ["union", "constant", str(path), str(path), "--r0", "1e400"])
+    assert (code, out) == (2, "") and "too large for a float" in err
+
+
+def test_mspace_reads_numbers_in_the_mode_of_the_quadruples(capsys):
+    quads = [os.path.join(GOLDEN, name) for name in ("quad12f.json", "quad13f.json")]
+    bridge = ["--bridge-part", "1", "--bridge-point", "2", "--bridge-r", "0.75"]
+    points = ["--point", "r:0.5", "--point", "r:1.25", "--point", "q:1.2"]
+    argv = ["mspace", "sample", "--quads", *quads, "--bridge-p", "2.5", *bridge, *points]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["labels"] == ["r:0.5", "r:1.25", "q:1.2"]
+    assert all(isinstance(v, float) for row in doc["matrix"] for v in row)
+    assert doc["matrix"][0][1] == 0.75
+    code, out, err = run(capsys, [v if v != "2.5" else "1e400" for v in argv])
+    assert (code, out) == (2, "") and "too large for a float" in err
+
+
 def test_union_glue_bad_radius_exit_two(files, capsys):
     code, _, err = run(capsys, ["union", "glue", files["pair1"], files["pair2"], "--r0", "0"])
     assert code == 2 and "error:" in err
@@ -305,10 +328,14 @@ def test_bad_tolerance_exit_two(files, capsys, value):
         assert code == 2 and out == "" and "must be finite and positive" in err
 
 
-def test_bad_msu_tol_exit_two(files, capsys, monkeypatch):
-    monkeypatch.setenv("MSU_TOL", "-1")
-    code, out, err = run(capsys, ["tripod", "embed", files["eqtri"]])
-    assert code == 2 and out == "" and "MSU_TOL" in err
+def test_msu_tol_changes_neither_output_nor_exit_code(files, capsys, monkeypatch):
+    # --tol is the one way to set the geometric tolerance.
+    argv = ["tripod", "embed", files["eqtri"]]
+    plain = run(capsys, argv)
+    assert plain[0] == 0
+    for value in ("-1", "x", "0.5"):
+        monkeypatch.setenv("MSU_TOL", value)
+        assert run(capsys, argv) == plain
 
 
 def test_f2_verbs(capsys):

@@ -5,8 +5,9 @@ one drawn argument, which gets a hostile one: a valid, invalid,
 non-finite or malformed JSON file, a missing path or a directory for a
 file argument, and one of 0, -1, nan, inf, 1e400 and 9:1 otherwise.
 Whatever the input, main answers with an exit code in {0, 1, 2, 3} (argparse's
-SystemExit(2) counts as 2), lets no other exception escape and prints no
-traceback.  The runs are derandomized, so a failure reproduces.
+SystemExit(2) counts as 2), lets no other exception escape, prints no
+traceback, and prints numbers as reports do, never as a Fraction repr.
+The runs are derandomized, so a failure reproduces.
 """
 
 import contextlib
@@ -116,5 +117,6 @@ def test_fuzzed_argv_gets_an_exit_code_and_no_traceback(path, root):
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        assert "Fraction(" not in err.getvalue(), argv
 
     check()

@@ -185,11 +185,10 @@ def transcript(argv):
 
 @contextlib.contextmanager
 def golden_env():
-    """Run from tests/data at a fixed help width with no MSU_TOL."""
+    """Run from tests/data at a fixed help width."""
     saved_cwd, saved_env = os.getcwd(), dict(os.environ)
     os.chdir(DATA)
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("MSU_TOL", None)
     try:
         yield
     finally:

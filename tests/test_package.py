@@ -68,6 +68,19 @@ def test_validate_loads_only_what_it_uses():
         assert f"msu.{name}'" not in last
 
 
+def test_union_graph_builds_without_the_shortest_path_engine():
+    out = run_python(
+        "import sys\n"
+        "from msu.cli import main\n"
+        "code = main(['union', 'graph', 'tests/data/golden/pair1.json', 'tests/data/golden/pair2.json',"
+        " '--eps1', '3', '--verify'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('msu')))\n"
+    )
+    last = out.splitlines()[-1]
+    assert last.startswith("0 [") and "'msu.unions'" in last
+    assert "'msu.graphs'" not in last
+
+
 def test_building_the_parser_loads_no_library_module():
     out = run_python(
         "import sys\n"

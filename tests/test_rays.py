@@ -72,6 +72,16 @@ def test_fermat_torricelli_flat_rejected():
         msu.fermat_torricelli(msu.Triangle(1, 2, 3))
 
 
+def test_embeds_test_flatness_before_corner_angles():
+    # Sides this small count as flat against the absolute floor of EPS_GEO,
+    # and their products underflow to 0, so no cosine can be taken.
+    tri = msu.Triangle(1e-300, 1e-300, 1e-300)
+    with pytest.raises(msu.InvalidMetricError):
+        msu.embed_triple_tripod(tri)
+    with pytest.raises(msu.InvalidMetricError):
+        msu.embed_triple_two_rays(tri, 0.5)
+
+
 def test_fermat_torricelli_random_sampling_oracle():
     rng = random.Random(23)
     for _ in range(40):

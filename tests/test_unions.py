@@ -6,11 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msu
-from conftest import from_coords, pair, quad, random_space, random_ultrametric
+from conftest import from_coords, pair, quad, random_rational_metric, random_space, random_ultrametric
 
 
 def float_twin(space):
     return msu.validate_space([[float(v) for v in row] for row in space.matrix])
+
+
+def mixed_space(rng, n):
+    """A random exact space whose integral entries are ints or Fractions."""
+    m = random_rational_metric(rng, n, dens=(1, 1, 2, 3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i][j].denominator == 1 and rng.random() < 0.5:
+                m[i][j] = m[j][i] = int(m[i][j])
+    return msu.validate_space(m)
+
+
+def anchor_graph_distances(parts, anchors, eps1):
+    """The anchored union by shortest paths through msu.graphs: each part
+    complete on its own distances, the anchors complete at eps1."""
+    base, edges, hubs = 0, [], []
+    for part, x in zip(parts, anchors):
+        edges += [(base + a, base + b, part.matrix[a][b]) for a in range(part.n) for b in range(a + 1, part.n)]
+        hubs.append(base + x)
+        base += part.n
+    edges += [(g, h, eps1) for k, g in enumerate(hubs) for h in hubs[k + 1 :]]
+    graph = msu.build_graph([str(v) for v in range(base)], edges, tol=max(p.tol for p in parts))
+    return msu.shortest_path_pseudometric(graph)
 
 
 def test_glue_ultrametric_cross_values():
@@ -176,26 +199,62 @@ def test_prop_union_epsilon_connected_is_a_metric_keeping_parts(seed, floats):
                     assert got[a][b] == part.matrix[a][b]
 
 
+@pytest.mark.parametrize("floats", [False, True])
+def test_union_epsilon_connected_matches_the_shortest_path_oracle(floats):
+    # Exact entries equal the search's in value and type; float entries may
+    # differ in the last bit, where the search took a detour that only
+    # rounding made shorter.
+    rng = random.Random(31 + floats)
+    for _ in range(150):
+        parts = [mixed_space(rng, rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+        anchors = [rng.randrange(p.n) for p in parts]
+        eps1 = max(msu.connectivity_threshold(p) for p in parts) + Fraction(
+            rng.randint(1, 6), rng.choice((1, 2, 3))
+        )
+        if eps1.denominator == 1 and rng.random() < 0.5:
+            eps1 = int(eps1)
+        if floats:
+            parts, eps1 = [float_twin(p) for p in parts], float(eps1)
+        u = msu.union_epsilon_connected(parts, anchors, eps1)
+        want = anchor_graph_distances(parts, anchors, eps1)
+        for row, want_row in zip(u.space.matrix, want):
+            for got, w in zip(row, want_row):
+                if floats:
+                    assert abs(got - w) <= 1e-15 * max(abs(got), abs(w))
+                else:
+                    assert (type(got), got) == (type(w), w)
+        assert msu.metric_violations(u.space.matrix, u.space.tol) == []
+
+
 def test_assembled_unions_restrict_to_their_parts():
+    # Oracle for the axioms and restrictions _assemble no longer re-checks.
     rng = random.Random(23)
     for _ in range(10):
         x, y = random_ultrametric(rng, rng.randint(1, 5)), random_ultrametric(rng, rng.randint(1, 5))
-        glued = msu.glue_ultrametric_pair(x, y, 0, y.n - 1, rng.randint(1, 9))
         s1, s2 = random_space(rng, rng.randint(1, 5)), random_space(rng, rng.randint(1, 5))
-        r0 = max(s1.diameter(), s2.diameter()) + rng.randint(0, 3)
-        const = msu.glue_constant(s1, s2, r0)
-        f1, f2 = float_twin(s1), float_twin(s2)
-        const_float = msu.glue_constant(f1, f2, float(r0))
-        for u, parts in ((glued, (x, y)), (const, (s1, s2)), (const_float, (f1, f2))):
+        bound = max(s1.diameter(), s2.diameter(), 1)
+        fx, fy, f1, f2 = (float_twin(s) for s in (x, y, s1, s2))
+        built = [
+            (msu.glue_ultrametric_pair(x, y, 0, y.n - 1, rng.randint(1, 9)), (x, y)),
+            (msu.glue_constant(s1, s2, bound + rng.randint(0, 3)), (s1, s2)),
+            (msu.glue_ultrametric_pair(fx, fy, 0, fy.n - 1, rng.randint(1, 9) / 2), (fx, fy)),
+            # r0 just under the diameter bound, inside the tolerance
+            (msu.glue_constant(f1, f2, float(bound) * (1 - 0.9e-9)), (f1, f2)),
+        ]
+        for u, parts in built:
+            assert msu.metric_violations(u.space.matrix, u.space.tol) == []
             for i, part in enumerate(parts):
                 assert u.part_space(i).matrix == part.matrix
     quads = [quad(1, 2), quad(1, 3), quad(2, 5)]
-    u = msu.union_pl_quadruples(quads)
-    assert [u.part_space(i).matrix for i in range(3)] == [q.matrix for q in quads]
-    u = msu.union_ultrametric_family([Fraction(1, 2), 2, Fraction(5, 2)], [0, 1, 3])
-    assert [u.part_space(i).matrix for i in range(3)] == [
-        pair(Fraction(1, 2)).matrix, pair(2).matrix, pair(Fraction(5, 2)).matrix
-    ]
+    for qs in (quads, [float_twin(q) for q in quads]):
+        u = msu.union_pl_quadruples(qs)
+        assert msu.metric_violations(u.space.matrix, u.space.tol) == []
+        assert [u.part_space(i).matrix for i in range(3)] == [q.matrix for q in qs]
+    exact = [Fraction(1, 2), 2, Fraction(5, 2)]
+    for ts, seps in ((exact, [0, 1, 3]), ([float(t) for t in exact], [0.0, 1.0, 3.0])):
+        u = msu.union_ultrametric_family(ts, seps)
+        assert msu.metric_violations(u.space.matrix, u.space.tol) == []
+        assert [u.part_space(i).matrix for i in range(3)] == [pair(t).matrix for t in ts]
 
 
 def test_union_pl_quadruples_examples():
