@@ -72,8 +72,8 @@ def test_union_graph_builds_without_the_shortest_path_engine():
     out = run_python(
         "import sys\n"
         "from msu.cli import main\n"
-        "code = main(['union', 'graph', 'tests/data/golden/pair1.json', 'tests/data/golden/pair2.json',"
-        " '--eps1', '3', '--verify'])\n"
+        "code = main(['union', 'graph', 'tests/data/golden/pair1.json',"
+        " 'tests/data/golden/pair2.json', '--eps1', '3', '--verify'])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('msu')))\n"
     )
     last = out.splitlines()[-1]

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msu
-from conftest import from_coords, pair, quad, random_rational_metric, random_space, random_ultrametric
+from conftest import (
+    from_coords, pair, quad, random_rational_metric, random_space, random_ultrametric,
+)
 
 
 def float_twin(space):
@@ -28,7 +30,8 @@ def anchor_graph_distances(parts, anchors, eps1):
     complete on its own distances, the anchors complete at eps1."""
     base, edges, hubs = 0, [], []
     for part, x in zip(parts, anchors):
-        edges += [(base + a, base + b, part.matrix[a][b]) for a in range(part.n) for b in range(a + 1, part.n)]
+        m = part.matrix
+        edges += [(base + a, base + b, m[a][b]) for a in range(part.n) for b in range(a + 1, part.n)]
         hubs.append(base + x)
         base += part.n
     edges += [(g, h, eps1) for k, g in enumerate(hubs) for h in hubs[k + 1 :]]
@@ -104,7 +107,7 @@ def test_union_epsilon_connected_cross_distance():
     b = from_coords([0, Fraction(7, 10)])
     u = msu.union_epsilon_connected([a, b], [0, 0], 1)
     assert u.space.matrix[1][3] == Fraction(11, 5)
-    # anchor-to-anchor equals eps1, in-part rows pinned bit-exactly
+    # anchor-to-anchor equals eps1, in-part entries are the part's own
     assert u.space.matrix[0][2] == 1
     assert u.space.matrix[0][1] == Fraction(1, 2)
     assert u.space.matrix[2][3] == Fraction(7, 10)
