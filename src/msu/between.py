@@ -16,7 +16,6 @@ from .scalars import (
     Number,
     close,
     coerce_entries,
-    integer_rows,
     leq,
     positive,
 )
@@ -117,10 +116,10 @@ def is_mb_space(space: FiniteMetricSpace) -> MBStatus:
 
     Spaces with fewer than three points pass vacuously.  The witness is
     the first violating triple in lexicographic index order, if any.
-    Exact spaces are tested on their int-scaled rows, which keeps every
+    Exact spaces are tested on the int rows they keep, which keeps every
     answer of 2*max = sum.
     """
-    d = integer_rows(space.matrix)
+    d, _ = space.kernel_rows()
     for i, j, k in combinations(range(space.n), 3):
         a, b, c = d[i][j], d[i][k], d[j][k]
         if not close(2 * max(a, b, c), a + b + c, space.tol):

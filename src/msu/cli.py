@@ -523,22 +523,22 @@ def main(argv: Optional[list[str]] = None) -> int:
             if check is not None and value is not None:
                 setattr(args, dest, check(flags[0], value))
         code, payload = run(args)
+        if payload is not None:
+            try:
+                print(msu.dump_report(payload, pretty=args.pretty))
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader left early (`msu ... | head`).  Send what is still
+                # buffered to devnull so the flush at exit cannot raise again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
     except msu.MsuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except msu.InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if payload is not None:
-        try:
-            print(msu.dump_report(payload, pretty=args.pretty))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader left early (`msu ... | head`).  Send what is still
-            # buffered to devnull so the flush at exit cannot raise again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
     return code
 
 

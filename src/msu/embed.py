@@ -44,33 +44,43 @@ def _search(
     """Backtracking over bitmasks of candidate codomain points.
 
     Bit q of the table entry for (image point p, domain distance x) says
-    that codomain point q lies at distance x from p: `cd[q][p] == x` when
-    both spaces are exact, else `close(x, cd[q][p], tol)`, the entry and
-    argument order a point-by-point test of "d(i, k) = d'(q, image[k])"
-    reads.  Each entry is filled on first use and kept for the rest of the
-    call; the distinct values of x are numbered once, so a key is one int.
-    Point i may go to the unused points in the AND of the entries for
-    (image[k], d(i, k)) over k < i; taking them lowest bit first lists the
-    maps in increasing image-tuple order, so `limit` keeps a prefix of the
-    full list.  `pin` fixes image[0].
+    that codomain point q lies at distance x from p.  When both spaces are
+    exact, the test is int `==` on their kept int rows: x is taken to the
+    codomain's scale once per call, and an x that is no integer there gets
+    the empty mask with no compare.  Otherwise it is `close(x, cd[q][p],
+    tol)`, the entry and argument order a point-by-point test of
+    "d(i, k) = d'(q, image[k])" reads.  Each entry is filled on first use
+    and kept for the rest of the call; the distinct values of x are
+    numbered once, so a key is one int.  Point i may go to the unused
+    points in the AND of the entries for (image[k], d(i, k)) over k < i;
+    taking them lowest bit first lists the maps in increasing image-tuple
+    order, so `limit` keeps a prefix of the full list.  `pin` fixes
+    image[0].
     """
     n, m = domain.n, codomain.n
-    dd, cd = domain.matrix, codomain.matrix
-    exact = domain.exact and codomain.exact
+    ds, cs = domain.scaled, codomain.scaled
+    exact = ds is not None and cs is not None
+    dd = ds[1] if exact else domain.matrix
+    cols = list(zip(*(cs[1] if exact else codomain.matrix)))
     ids: dict = {}
     below = [[ids.setdefault(x, len(ids)) for x in row[:i]] for i, row in enumerate(dd)]
     values = list(ids)
+    if exact:
+        # x / ds[0] at the codomain's scale cs[0], or None off its grid
+        values = [y if not r else None for y, r in (divmod(x * cs[0], ds[0]) for x in values)]
     masks: dict = {}
 
     def mask(p: int, v: int) -> int:
         key = v * m + p
         bits = masks.get(key)
         if bits is None:
-            x = values[v]
-            if exact:
-                bits = sum(1 << q for q, row in enumerate(cd) if row[p] == x)
+            x, col = values[v], cols[p]
+            if not exact:
+                bits = sum(1 << q for q, y in enumerate(col) if close(x, y, tol))
+            elif x is None:
+                bits = 0
             else:
-                bits = sum(1 << q for q, row in enumerate(cd) if close(x, row[p], tol))
+                bits = sum(1 << q for q, y in enumerate(col) if y == x)
             masks[key] = bits
         return bits
 
@@ -179,8 +189,9 @@ class SpaceTraits:
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    """Strong triangle inequality on every triple."""
-    n, d, tol = space.n, space.matrix, space.tol
+    """Strong triangle inequality on every triple (on the int rows of an
+    exact space)."""
+    n, (d, _), tol = space.n, space.kernel_rows(), space.tol
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
@@ -195,6 +206,9 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
 def classify_space(space: FiniteMetricSpace) -> SpaceTraits:
     """Structural flags: ultrametric, discrete, strongly rigid, homogeneous.
 
+    An exact space is tested on its int rows, where distance 1 is the
+    scale.
+
     Strongly rigid (no two pairs at the same distance) tests neighbours of
     the sorted distances only.  That is enough: for non-negative a <= b <= c,
     close(a, c) implies close(b, c).  Exactly, a == c forces b == c; with a
@@ -205,10 +219,10 @@ def classify_space(space: FiniteMetricSpace) -> SpaceTraits:
     Homogeneous (some self-map sends point 0 to each point j) runs one
     search per j with image[0] pinned to j, stopping at its first map.
     """
-    n, d, tol = space.n, space.matrix, space.tol
+    n, (d, one), tol = space.n, space.kernel_rows(), space.tol
 
     off = sorted(d[i][j] for i in range(n) for j in range(i + 1, n))
-    discrete = all(close(v, 1, tol) for v in off)
+    discrete = all(close(v, one, tol) for v in off)
     strongly_rigid = not any(close(a, b, tol) for a, b in zip(off, off[1:]))
 
     homogeneous = all(_search(space, space, tol, 1, pin=j) for j in range(n))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -10,7 +11,14 @@ from .errors import (
     InputFormatError,
     InternalCheckError,
 )
-from .scalars import DEFAULT_TOL, Number, close, coerce_entries, positive
+from .scalars import (
+    DEFAULT_TOL,
+    Number,
+    close,
+    coerce_entries,
+    integer_rows,
+    positive,
+)
 from .spaces import FiniteMetricSpace, metric_space
 
 
@@ -161,8 +169,23 @@ def _single_source(
 def _all_pairs(
     graph: WeightedGraph,
 ) -> tuple[list[list[Number]], list[list[int]]]:
+    """Shortest-path matrix and the predecessor row of each source.
+
+    A graph whose weights are all Fractions runs on them scaled to ints
+    over one scale (integer_rows): the same comparisons in the same order
+    give the same paths, and each entry off the diagonal divides back to
+    the Fraction its path sums to.  Other graphs run on their weights as
+    they are: int, float, or mixed int and Fraction weights, where an
+    entry is an int only when its path takes int weights alone.
+    """
     n = graph.n
     adj = graph.adjacency()
+    weights = [w for _, _, w in graph.edges]
+    scaled = None
+    if all(type(w) is Fraction for w in weights):
+        scaled = integer_rows([weights])
+        to_int = dict(zip(weights, scaled[1][0]))
+        adj = [[(v, to_int[w]) for v, w in row] for row in adj]
     rows: list[list[Number]] = []
     preds: list[list[int]] = []
     for s in range(n):
@@ -178,6 +201,12 @@ def _all_pairs(
             if not close(rows[i][j], rows[j][i], graph.tol):
                 raise InternalCheckError("asymmetric shortest-path matrix")
             rows[j][i] = rows[i][j]
+    if scaled is not None:
+        scale = scaled[0]
+        rows = [
+            [Fraction(x, scale) if i != j else 0 for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
     return rows, preds
 
 

@@ -7,7 +7,7 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .errors import InputFormatError
+from .errors import InputFormatError, InternalCheckError
 from .scalars import DEFAULT_TOL, format_number, parse_number
 from .spaces import FiniteMetricSpace, validate_space
 
@@ -119,7 +119,14 @@ def to_jsonable(value: object) -> object:
 
 
 def dump_report(payload: object, pretty: bool = False) -> str:
+    """The report as JSON; a NaN or an infinity in it raises
+    InternalCheckError, since every number of a report is finite."""
     data = to_jsonable(payload)
-    if pretty:
-        return json.dumps(data, sort_keys=True, indent=2)
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    try:
+        if pretty:
+            return json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(
+            data, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError as exc:
+        raise InternalCheckError(f"report holds a non-finite number: {exc}") from exc

@@ -3,13 +3,19 @@
 Distance values are plain Python numbers. ints and Fractions are "exact";
 floats are "approximate" and every comparison between them goes through an
 absolute-or-relative tolerance. Exact values never compare fuzzily.
+
+The exact kernels (axiom scan, embedding search, classification, `mb`,
+shortest paths on Fraction weights) do not compare Fractions one by one:
+integer_rows scales an exact matrix to plain ints over one scale, and each
+exact FiniteMetricSpace computes that once and keeps it.  Floats keep the
+tolerance rules below.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputFormatError
 
@@ -44,20 +50,26 @@ def positive(a: Number, tol: float = DEFAULT_TOL) -> bool:
     return not leq(a, 0, tol)
 
 
-def integer_rows(matrix: Sequence[Sequence[Number]]) -> Sequence[Sequence[Number]]:
-    """An all-exact matrix as plain int rows over the lcm of its denominators.
+def integer_rows(
+    matrix: Sequence[Sequence[Number]],
+) -> Optional[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """An all-exact matrix as (scale, rows): each entry times `scale`, the
+    lcm of the denominators, so every row is plain ints.
 
     Scaling by a positive constant keeps every order, equality and sum, so
     each exact test (==, <=, d(i,k) <= d(i,j) + d(j,k), 2*max = sum) has the
-    same answer on the result as on the input.  A matrix holding any entry
-    that is not an int or a Fraction (a float) is returned unchanged.
+    same answer on the rows as on the matrix.  A matrix holding any entry
+    that is not an int or a Fraction (a float) gives None.
     """
     if any(type(v) not in (int, Fraction) for row in matrix for v in row):
-        return matrix
+        return None
     dens = {v.denominator for row in matrix for v in row}
     scale = lcm(*dens)
     factor = {d: scale // d for d in dens}
-    return [[v.numerator * factor[v.denominator] for v in row] for row in matrix]
+    rows = tuple(
+        tuple([v.numerator * factor[v.denominator] for v in row]) for row in matrix
+    )
+    return scale, rows
 
 
 def parse_number(raw: object) -> Number:

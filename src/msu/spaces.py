@@ -1,8 +1,14 @@
-"""Finite metric spaces: construction and axiom validation."""
+"""Finite metric spaces: construction and axiom validation.
+
+An exact space keeps its matrix scaled to int rows (`scaled`), computed
+once, for the exact kernels of this package; a float space has none and
+its kernels keep the tolerance rules of `scalars`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import add, eq, getitem, gt, le, mul
 from typing import Optional, Sequence
@@ -48,6 +54,7 @@ def metric_violations(
     matrix: Sequence[Sequence[Number]],
     tol: float = DEFAULT_TOL,
     limit: Optional[int] = None,
+    scaled: Optional[tuple[int, Sequence[Sequence[int]]]] = None,
 ) -> list[Violation]:
     """Scan a square matrix for metric-axiom violations.
 
@@ -56,10 +63,13 @@ def metric_violations(
     also being reported.
 
     An exact matrix is checked on its int-scaled rows (same answers, no
-    Fraction arithmetic).  Each row, and each pair (i, j) of the triangle
-    scan, first tests all its entries in C-level passes; only a row or pair
-    that fails one runs the per-entry tolerance loop, so the list, its order
-    and `limit` are those of the loop alone.  The passes are sound:
+    Fraction arithmetic).  `scaled`, when given, must be
+    integer_rows(matrix): validate_space passes the rows the new space
+    keeps, so a validated space is scaled once.  Each row, and each
+    pair (i, j) of the triangle scan, first tests all its entries in
+    C-level passes; only a row or pair that fails one runs the per-entry
+    tolerance loop, so the list, its order and `limit` are those of the
+    loop alone.  The passes are sound:
 
     - diagonal: `v == 0` gives float(v) == 0.0, so close(v, 0, tol);
     - symmetry: `a == b` (no identity shortcut, so NaN fails) gives
@@ -74,13 +84,13 @@ def metric_violations(
       operation as in the loop, since addition commutes, and a NaN fails
       `<=`.
     """
+    _check_square(matrix)
+    if scaled is None:
+        scaled = integer_rows(matrix)
+    floor = tol
+    if scaled is not None:
+        floor, matrix = 0, scaled[1]
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise InputFormatError("matrix is not square")
-    scaled = integer_rows(matrix)
-    floor = 0 if scaled is not matrix else tol
-    matrix = scaled
     out: list[Violation] = []
 
     def full() -> bool:
@@ -145,12 +155,29 @@ class FiniteMetricSpace:
     `matrix` entries are either all exact (int/Fraction) or all float;
     float-mode comparisons use the absolute-or-relative tolerance `tol`.
     Instances are immutable; build them through validate_space.
+
+    `scaled` is the matrix as int rows over one scale, computed on first
+    use and kept; the exact kernels read it.  It is not a field, so ==,
+    hash and repr do not see it.
     """
 
     labels: tuple[str, ...]
     matrix: tuple[tuple[Number, ...], ...]
     exact: bool
     tol: float
+
+    @cached_property
+    def scaled(self) -> Optional[tuple[int, tuple[tuple[int, ...], ...]]]:
+        """(scale, int rows) of an exact matrix, as integer_rows gives them;
+        None for a float one."""
+        return integer_rows(self.matrix)
+
+    def kernel_rows(self) -> tuple[Sequence[Sequence[Number]], Number]:
+        """(rows, one) for a kernel that compares entries: the kept int rows
+        and their scale (distance 1) for an exact space, else (matrix, 1)."""
+        if self.scaled is None:
+            return self.matrix, 1
+        return self.scaled[1], self.scaled[0]
 
     @property
     def n(self) -> int:
@@ -198,6 +225,13 @@ class FiniteMetricSpace:
         return self.restrict([i for i in range(self.n) if i != index])
 
 
+def _check_square(matrix: Sequence[Sequence[Number]]) -> None:
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise InputFormatError("matrix is not square")
+
+
 def validate_space(
     matrix: Sequence[Sequence[Number]],
     labels: Optional[Sequence[str]] = None,
@@ -217,7 +251,7 @@ def validate_space(
         raise InputFormatError("labels must be distinct")
 
     space = metric_space(matrix, labels, tol)
-    violations = metric_violations(space.matrix, tol=tol)
+    violations = metric_violations(space.matrix, tol, scaled=space.scaled)
     if violations:
         raise InvalidMetricError(violations)
     return space
@@ -229,8 +263,10 @@ def metric_space(
     """Wrap a matrix without checking the axioms; entries take one mode.
 
     For builders whose output is a metric by construction, and for
-    validate_space once its checks pass.  Labels must be distinct strings.
+    validate_space, which checks the axioms next.  Labels must be distinct
+    strings; a matrix that is not square raises InputFormatError.
     """
+    _check_square(matrix)
     n = len(matrix)
     flat, exact = coerce_entries(v for row in matrix for v in row)
     rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))

@@ -410,3 +410,33 @@ def cayley_menger_matrix(a, b, c):
     """The bordered 4x4 Cayley-Menger matrix of a triple with sides a, b, c."""
     a2, b2, c2 = a * a, b * b, c * c
     return [[0, a2, b2, 1], [a2, 0, c2, 1], [b2, c2, 0, 1], [1, 1, 1, 0]]
+
+
+def fraction_shortest_paths(graph):
+    """All-pairs shortest paths by Dijkstra on the unscaled weights.
+
+    The search that preceded the int-scaled one, kept as its oracle: same
+    vertex order, same strict improvements, so the same paths, and each
+    entry is the sum of its path's weights in their own types (an int only
+    when every weight on the path is one).  The i < j entry is copied to
+    j > i, as in the search.
+    """
+    n, adj = graph.n, graph.adjacency()
+    rows = []
+    for s in range(n):
+        dist, done = [None] * n, [False] * n
+        dist[s] = 0
+        for _ in range(n):
+            open_ = [v for v in range(n) if not done[v] and dist[v] is not None]
+            if not open_:
+                break
+            u = min(open_, key=lambda v: dist[v])
+            done[u] = True
+            for v, w in adj[u]:
+                if not done[v] and (dist[v] is None or dist[u] + w < dist[v]):
+                    dist[v] = dist[u] + w
+        rows.append(dist)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[j][i] = rows[i][j]
+    return rows

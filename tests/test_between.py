@@ -15,8 +15,10 @@ from conftest import (
     equilateral,
     from_coords,
     quad,
+    random_rational_metric,
     random_space,
 )
+from msu.scalars import integer_rows
 
 TRI_123 = msu.validate_space([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -190,3 +192,27 @@ def test_prop_is_mb_space_matches_the_triple_scan(seed, tol):
         rows = [[math.dist(p, q) for q in pts] for p in pts]
     space = msu.validate_space(rows, tol=tol)
     assert msu.is_mb_space(space) == brute_is_mb_space(space)
+
+
+def test_validated_space_is_scaled_once_for_mb(monkeypatch):
+    # validate_space scans the int rows the space then keeps, and
+    # is_mb_space reads them: a failed first triple costs no rescaling.
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return integer_rows(matrix)
+
+    monkeypatch.setattr(msu.spaces, "integer_rows", counting)
+    monkeypatch.setattr(msu.between, "integer_rows", counting, raising=False)
+    spaces = [
+        msu.validate_space(random_rational_metric(random.Random(5), 90)),
+        from_coords([Fraction(c, 3) for c in range(0, 60, 7)]),
+    ]
+    assert calls == [90, 9]
+    for space in spaces:
+        status = msu.is_mb_space(space)
+        assert status == brute_is_mb_space(space)
+        assert msu.is_mb_space(space) == status
+    assert [msu.is_mb_space(s).is_mb for s in spaces] == [False, True]
+    assert calls == [90, 9]

@@ -266,6 +266,26 @@ def test_internal_error_exit_three(tmp_path, capsys):
     assert err.startswith("internal error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        (["tripod", "embed"], '{"sides": [1e300, 1e300, 1e300]}'),
+        (
+            ["metrize"],
+            '{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1e308], ["b", "c", 1e308]]}',
+        ),
+    ],
+    ids=["tripod-sides-1e300", "metrize-path-1e308"],
+)
+def test_non_finite_report_exits_three(tmp_path, capsys, verb, text):
+    # Finite inputs whose report overflows to NaN or Infinity.  Such reports
+    # once went to stdout as invalid JSON, with exit code 0 and 1.
+    code, out, err = run(capsys, verb + [write_raw(tmp_path, "f.json", text)])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: report holds a non-finite number")
+    assert "Traceback" not in err
+
+
 def test_float_non_transitive_family_exit_two(tmp_path, capsys):
     paths = []
     for name, d in (("a", 1.0), ("b", 1.0000000009), ("c", 1.0000000018)):

@@ -6,12 +6,14 @@ non-finite or malformed JSON file, a missing path or a directory for a
 file argument, and one of 0, -1, nan, inf, 1e400 and 9:1 otherwise.
 Whatever the input, main answers with an exit code in {0, 1, 2, 3} (argparse's
 SystemExit(2) counts as 2), lets no other exception escape, prints no
-traceback, and prints numbers as reports do, never as a Fraction repr.
+traceback, prints numbers as reports do, never as a Fraction repr, and
+prints on stdout only strict JSON, with no NaN or Infinity.
 The runs are derandomized, so a failure reproduces.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +101,10 @@ def argvs(path, root):
     return draw_argv()
 
 
+def reject(name):
+    raise AssertionError(f"{name} on stdout")
+
+
 @pytest.mark.parametrize("path", sorted(cli._VERBS), ids=" ".join)
 def test_fuzzed_argv_gets_an_exit_code_and_no_traceback(path, root):
     @settings(
@@ -116,6 +122,8 @@ def test_fuzzed_argv_gets_an_exit_code_and_no_traceback(path, root):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code)
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=reject)
         assert "Traceback" not in err.getvalue(), argv
         assert "Fraction(" not in err.getvalue(), argv
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from conftest import (
     loop_embeddings,
     pair,
     pairwise_distinct,
+    random_rational_metric,
     random_space,
     random_two_value,
     random_ultrametric,
@@ -361,3 +363,88 @@ def test_prop_strongly_rigid_matches_the_pairwise_scan(seed, kind):
     space = msu.validate_space(rows)
     off = [space.dist(i, j) for i in range(n) for j in range(i + 1, n)]
     assert msu.classify_space(space).strongly_rigid == pairwise_distinct(off, space.tol)
+
+
+def _two_scales(rng):
+    """A codomain and a domain whose int rows have different scales.
+
+    The codomain is a closure metric over a denominator of 6, 10 or 12,
+    plus one far point at a distance over 7 or 11, which no other entry
+    shares.  The domain is mostly a shuffled restriction, whose entries
+    reduce over divisors of that denominator (and take the far point only
+    sometimes); otherwise a closure metric over a denominator of 1 to 5.
+    """
+    m = rng.randint(1, 6)
+    rows = random_rational_metric(rng, m, dens=(6, 10, 12))
+    far = max(max(r) for r in rows) + Fraction(rng.randint(1, 3), rng.choice((7, 11)))
+    rows = [r + [far] for r in rows] + [[far] * m + [0]]
+    cod = msu.validate_space(rows)
+    if rng.random() < 0.3:
+        return random_space(rng, rng.randint(1, 3)), cod
+    points = m + 1 if rng.random() < 0.2 else m
+    return cod.restrict(rng.sample(range(points), rng.randint(1, points))), cod
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_prop_find_embeddings_across_scales_match_brute_force(seed):
+    dom, cod = _two_scales(random.Random(seed))
+    want = brute_embeddings(dom, cod)
+    assert [pm.image for pm in msu.find_embeddings(dom, cod)] == want
+    for limit in range(1, len(want) + 1):
+        assert [pm.image for pm in msu.find_embeddings(dom, cod, limit)] == want[:limit]
+
+
+def test_distance_off_the_codomain_scale_gets_no_map():
+    # The codomain's int rows are over 2; 1/7 and 15/7 are no integer there.
+    cod = from_coords([0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
+    assert cod.scaled[0] == 2
+    for dom in (pair(Fraction(1, 7)), from_coords([0, 1, Fraction(15, 7)])):
+        assert msu.find_embeddings(dom, cod) == [] == brute_embeddings(dom, cod)
+        assert not msu.embeds(dom, cod)
+    assert [pm.image for pm in msu.find_embeddings(pair(Fraction(3, 2)), cod)] == [
+        (0, 3), (1, 4), (3, 0), (3, 5), (4, 1), (5, 3)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_prop_scaling_both_spaces_keeps_maps_traits_and_mb(seed):
+    # Multiplying every distance by r > 0 changes no answer, except that
+    # "discrete" then asks whether every distance was 1/r.
+    rng = random.Random(seed)
+    r = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    roll = rng.random()
+    if roll < 0.2:
+        d = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        cod = equilateral(rng.randint(2, 5), d)
+        dom = equilateral(rng.randint(1, cod.n), d)
+        r = rng.choice((r, 1 / d))
+    elif roll < 0.4:
+        den = rng.randint(1, 4)
+        cod = from_coords([Fraction(c, den) for c in sorted(rng.sample(range(0, 30), rng.randint(1, 6)))])
+        dom = cod.restrict(rng.sample(range(cod.n), rng.randint(1, cod.n)))
+    else:
+        dom, cod = _two_scales(rng)
+
+    def times_r(space):
+        return msu.validate_space([[v * r for v in row] for row in space.matrix], space.labels)
+
+    assert msu.find_embeddings(times_r(dom), times_r(cod)) == msu.find_embeddings(dom, cod)
+    assert msu.find_embeddings(times_r(dom), times_r(cod), 1) == msu.find_embeddings(dom, cod, 1)
+    for space in (dom, cod):
+        off = [space.dist(i, j) for i in range(space.n) for j in range(i + 1, space.n)]
+        want = dataclasses.replace(msu.classify_space(space), discrete=all(v * r == 1 for v in off))
+        assert msu.classify_space(times_r(space)) == want
+        assert msu.is_mb_space(times_r(space)) == msu.is_mb_space(space)
+
+
+def test_kept_rows_stay_out_of_eq_hash_and_repr():
+    rows = [[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, Fraction(1, 2)], [1, Fraction(1, 2), 0]]
+    # validate_space fills the kept rows as it scans; metric_space does not.
+    used = msu.validate_space(rows)
+    fresh = msu.spaces.metric_space(rows, used.labels, used.tol)
+    assert "scaled" in vars(used) and "scaled" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used.scaled is used.scaled and used.scaled == (2, ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    assert msu.validate_space([[0.0, 0.5], [0.5, 0.0]]).scaled is None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msu
-from conftest import cycle_weight_oracle, random_int_metric
+from conftest import cycle_weight_oracle, fraction_shortest_paths, random_int_metric
 
 
 def path_abc(w1, w2):
@@ -162,3 +162,23 @@ def test_prop_violating_cycle_is_a_witness(seed):
     ring = list(cyc) + [cyc[0]]
     total = sum(lookup[(ring[t], ring[t + 1])] for t in range(len(cyc)))
     assert any(2 * lookup[(ring[t], ring[t + 1])] > total for t in range(len(cyc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_prop_exact_shortest_paths_keep_values_and_types(seed):
+    # Weights are all Fractions (the int-scaled search), all ints, or a mix
+    # of ints and Fractions, with ties between paths; each entry must be
+    # the unscaled sum along the same path, type included, since reports
+    # print 2 and "2" apart.
+    rng = random.Random(seed)
+    fractions = (Fraction(0), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 3))
+    pool = rng.choice((fractions, (0, 1, 2, 3), (0, 1, 2, 3) + fractions))
+    graph, _ = random_connected_graph(rng, rng.randint(1, 7), weights=pool)
+    got = msu.shortest_path_pseudometric(graph)
+    want = fraction_shortest_paths(graph)
+    assert [[(type(v), v) for v in row] for row in got] == [
+        [(type(v), v) for v in row] for row in want
+    ]
+    report = msu.check_metrizability(graph)
+    assert report.pseudometric == got

@@ -88,13 +88,14 @@ def test_coerce_entries_mode_mixing_rejected():
 
 def test_integer_rows_scales_exact_matrices_to_ints():
     m = [[0, Fraction(1, 2), Fraction(2, 3)], [Fraction(1, 2), 0, 1], [Fraction(2, 3), 1, 0]]
-    rows = integer_rows(m)
-    assert rows == [[0, 3, 4], [3, 0, 6], [4, 6, 0]]
+    scale, rows = integer_rows(m)
+    assert scale == 6
+    assert rows == ((0, 3, 4), (3, 0, 6), (4, 6, 0))
     assert all(type(v) is int for row in rows for v in row)
-    assert integer_rows([[Fraction(4, 1), 2]]) == [[4, 2]]
-    assert integer_rows([]) == []
+    assert integer_rows([[Fraction(4, 1), 2]]) == (1, ((4, 2),))
+    assert integer_rows([]) == (1, ())
 
 
-def test_integer_rows_leaves_float_matrices_unchanged():
+def test_integer_rows_gives_none_for_float_matrices():
     for m in ([[0.0, 0.5], [0.5, 0.0]], [[0, 0.5], [Fraction(1, 2), 0]], [[True, 1]]):
-        assert integer_rows(m) is m
+        assert integer_rows(m) is None

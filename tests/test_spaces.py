@@ -51,6 +51,13 @@ def test_ragged_matrix_rejected():
         msu.validate_space([[0, 1], [1]])
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 0, 5]], [[0, 1, 5], [1, 0]]])
+def test_ragged_matrix_with_n_squared_entries_or_more_rejected(rows):
+    # Re-cut into rows of n, these once lost the 5 or read as a wrong matrix.
+    with pytest.raises(msu.InputFormatError, match="not square"):
+        msu.validate_space(rows)
+
+
 def test_default_labels():
     s = msu.validate_space([[0, 1], [1, 0]])
     assert s.labels == ("p0", "p1")

@@ -338,3 +338,27 @@ def test_verify_reports_extra_copies():
     assert not rep.passed
     assert rep.copy_counts == (6, 6)
     assert rep.comparable_pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_prop_union_verifier_and_minimality_decider_agree(seed):
+    # Two deciders of one theorem: pairwise incomparable parts with one copy
+    # each in the union (verify_minimal_union), and a union from which no
+    # point can be spared (is_minimal_universal_space).  Some parts repeat
+    # or restrict another, so both answers occur.
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        if parts and rng.random() < 0.3:
+            other = rng.choice(parts)
+            parts.append(other.restrict(rng.sample(range(other.n), rng.randint(1, other.n))))
+        else:
+            parts.append(random_space(rng, rng.randint(1, 4)))
+    anchors = [rng.randrange(p.n) for p in parts]
+    eps1 = max(msu.connectivity_threshold(p) for p in parts) + Fraction(
+        rng.randint(1, 6), rng.choice((1, 2, 3))
+    )
+    u = msu.union_epsilon_connected(parts, anchors, eps1)
+    family = msu.SpaceFamily(tuple(parts))
+    assert msu.verify_minimal_union(u).passed == msu.is_minimal_universal_space(family, u.space).minimal
