@@ -168,24 +168,26 @@ def _single_source(
 
 def _all_pairs(
     graph: WeightedGraph,
-) -> tuple[list[list[Number]], list[list[int]]]:
-    """Shortest-path matrix and the predecessor row of each source.
+) -> tuple[list[list[Number]], list[list[int]], list[Number], Optional[int]]:
+    """Shortest-path rows, the predecessor row of each source, the edge
+    weights in the scale of the rows, and that scale.
 
     A graph whose weights are all Fractions runs on them scaled to ints
     over one scale (integer_rows): the same comparisons in the same order
-    give the same paths, and each entry off the diagonal divides back to
-    the Fraction its path sums to.  Other graphs run on their weights as
-    they are: int, float, or mixed int and Fraction weights, where an
-    entry is an int only when its path takes int weights alone.
+    give the same paths, and _divided takes each entry back to the
+    Fraction its path sums to.  Other graphs run on their weights as they
+    are, with scale None: int, float, or mixed int and Fraction weights,
+    where an entry is an int only when its path takes int weights alone.
     """
     n = graph.n
     adj = graph.adjacency()
     weights = [w for _, _, w in graph.edges]
-    scaled = None
+    scale = None
     if all(type(w) is Fraction for w in weights):
-        scaled = integer_rows([weights])
-        to_int = dict(zip(weights, scaled[1][0]))
+        scale, (ints,) = integer_rows([weights])
+        to_int = dict(zip(weights, ints))
         adj = [[(v, to_int[w]) for v, w in row] for row in adj]
+        weights = list(ints)
     rows: list[list[Number]] = []
     preds: list[list[int]] = []
     for s in range(n):
@@ -201,19 +203,26 @@ def _all_pairs(
             if not close(rows[i][j], rows[j][i], graph.tol):
                 raise InternalCheckError("asymmetric shortest-path matrix")
             rows[j][i] = rows[i][j]
-    if scaled is not None:
-        scale = scaled[0]
-        rows = [
-            [Fraction(x, scale) if i != j else 0 for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    return rows, preds
+    return rows, preds, weights, scale
+
+
+def _divided(rows: list[list[Number]], scale: Optional[int]) -> list[list[Number]]:
+    """The rows of _all_pairs in the graph's own numbers: each int-scaled
+    entry off the diagonal back to its Fraction, the diagonal the int 0."""
+    if scale is None:
+        return rows
+    n = len(rows)
+    out: list[list[Number]] = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i][j] = out[j][i] = Fraction(rows[i][j], scale)
+    return out
 
 
 def shortest_path_pseudometric(graph: WeightedGraph) -> list[list[Number]]:
     """All-pairs minimum path weight; raises on disconnected input."""
-    rows, _ = _all_pairs(graph)
-    return rows
+    rows, _, _, scale = _all_pairs(graph)
+    return _divided(rows, scale)
 
 
 def _walk_back(pred: list[int], source: int, target: int) -> tuple[int, ...]:
@@ -232,23 +241,30 @@ def check_metrizability(graph: WeightedGraph) -> MetrizationReport:
     the report carries the cycle (shortest path plus the failing edge)
     whose heaviest edge exceeds half the cycle weight.  Metrizability
     additionally needs positive distances between distinct vertices.
+
+    An all-Fraction graph takes both tests on the int-scaled rows and
+    weights of _all_pairs, since a positive scale keeps every equality and
+    sign; only the matrices the report holds are divided back.
     """
     if graph.n == 0:
         raise InputFormatError("graph has no vertices")
-    d, preds = _all_pairs(graph)
+    rows, preds, weights, scale = _all_pairs(graph)
 
-    for i, j, w in graph.edges:
-        if not close(d[i][j], w, graph.tol):
+    for (i, j, _), w in zip(graph.edges, weights):
+        if not close(rows[i][j], w, graph.tol):
             cycle = _walk_back(preds[i], i, j)
+            d = _divided(rows, scale)
             return MetrizationReport(False, False, cycle, None, d)
 
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
-            if not positive(d[i][j], graph.tol):
+            if not positive(rows[i][j], graph.tol):
+                d = _divided(rows, scale)
                 return MetrizationReport(True, False, None, None, d)
 
     # Shortest paths on a connected graph with positive distances form a
     # metric (a detour through k is a path, so d(i,j) <= d(i,k) + d(k,j)),
     # and the pin in _all_pairs made the matrix symmetric.
+    d = _divided(rows, scale)
     metric = metric_space(d, graph.labels, graph.tol)
     return MetrizationReport(True, True, None, metric, d)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from math import isfinite
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import InputFormatError, InternalCheckError
-from .scalars import DEFAULT_TOL, format_number, parse_number
+from .scalars import DEFAULT_TOL, Number, format_number, parse_number
 from .spaces import FiniteMetricSpace, validate_space
 
 if TYPE_CHECKING:  # the loaders below import these modules on first use
@@ -27,6 +28,26 @@ def read_json(path: str) -> object:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_float_range(values: Sequence[Number], n: int) -> None:
+    """The range rule for float input of n points (vertices; 3 for a
+    triangle): the largest entry times max(3, n - 1) must be a finite float.
+
+    A verb adds at most that many entries: the edges of a shortest path
+    (n - 1), the three sides of a triple (`mb`), or two distances (the
+    triangle inequality, a line realization).
+    """
+    terms = max(3, n - 1)
+    top = max(map(abs, values), default=0)
+    try:
+        fits = isfinite(float(top) * terms)
+    except OverflowError:  # an exact entry beyond the float range
+        fits = False
+    if not fits:
+        raise InputFormatError(
+            f"float input too large: {terms} times its largest entry overflows"
+        )
+
+
 def load_space(obj: object, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     """Build a validated space from {"labels": optional, "matrix": required}."""
     if not isinstance(obj, dict) or "matrix" not in obj:
@@ -35,6 +56,9 @@ def load_space(obj: object, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InputFormatError('"matrix" must be a list of rows')
     rows = [[parse_number(v) for v in row] for row in matrix]
+    flat = [v for row in rows for v in row]
+    if any(isinstance(v, float) for v in flat):
+        _check_float_range(flat, len(rows))
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
@@ -67,6 +91,9 @@ def load_graph(obj: object, tol: float = DEFAULT_TOL) -> WeightedGraph:
         if not isinstance(e, list) or len(e) != 3:
             raise InputFormatError(f"edge {e!r} must be [u, v, weight]")
         triples.append((e[0], e[1], parse_number(e[2])))
+    weights = [w for _, _, w in triples]
+    if any(isinstance(w, float) for w in weights):
+        _check_float_range(weights, len(vertices))
     return build_graph(vertices, triples, tol=tol)
 
 
@@ -78,8 +105,9 @@ def load_triangle(obj: object, tol: float = DEFAULT_TOL) -> Union[Triangle, Fini
         sides = obj["sides"]
         if not isinstance(sides, list) or len(sides) != 3:
             raise InputFormatError('"sides" must be a list of three numbers')
-        a, b, c = (float(parse_number(v)) for v in sides)
-        return Triangle(a, b, c)
+        values = [parse_number(v) for v in sides]
+        _check_float_range(values, 3)
+        return Triangle(*map(float, values))
     return load_space(obj, tol=tol)
 
 

@@ -107,15 +107,19 @@ def coerce_entries(values: Iterable[Number]) -> tuple[list[Number], bool]:
     """Normalize a batch of numbers to one mode.
 
     Returns (converted values, exact flag). ints are mode-neutral and adapt;
-    a genuine Fraction mixed with a float is rejected.
+    a genuine Fraction mixed with a float is rejected.  The mode comes from
+    the set of entry types (float and Fraction subclasses included), so
+    only a batch holding both a float and a Fraction type is scanned entry
+    by entry.
     """
     vals = list(values)
-    has_float = any(isinstance(v, float) for v in vals)
-    if not has_float:
+    types = set(map(type, vals))
+    if not any(issubclass(t, float) for t in types):
         return vals, True
-    for v in vals:
-        if isinstance(v, Fraction) and v.denominator != 1:
-            raise InputFormatError(
-                "matrix mixes exact rationals with floats; pick one mode"
-            )
-    return [float(v) for v in vals], False
+    if any(issubclass(t, Fraction) for t in types):
+        for v in vals:
+            if isinstance(v, Fraction) and v.denominator != 1:
+                raise InputFormatError(
+                    "matrix mixes exact rationals with floats; pick one mode"
+                )
+    return list(map(float, vals)), False

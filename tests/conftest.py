@@ -440,3 +440,18 @@ def fraction_shortest_paths(graph):
         for j in range(i + 1, n):
             rows[j][i] = rows[i][j]
     return rows
+
+
+def entrywise_coerce_entries(values):
+    """coerce_entries as it tested each entry with isinstance, before it
+    read the mode from the set of entry types; kept as its oracle."""
+    vals = list(values)
+    has_float = any(isinstance(v, float) for v in vals)
+    if not has_float:
+        return vals, True
+    for v in vals:
+        if isinstance(v, Fraction) and v.denominator != 1:
+            raise msu.InputFormatError(
+                "matrix mixes exact rationals with floats; pick one mode"
+            )
+    return [float(v) for v in vals], False

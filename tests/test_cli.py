@@ -268,14 +268,8 @@ def test_internal_error_exit_three(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "verb, text",
-    [
-        (["tripod", "embed"], '{"sides": [1e300, 1e300, 1e300]}'),
-        (
-            ["metrize"],
-            '{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1e308], ["b", "c", 1e308]]}',
-        ),
-    ],
-    ids=["tripod-sides-1e300", "metrize-path-1e308"],
+    [(["tripod", "embed"], '{"sides": [1e300, 1e300, 1e300]}')],
+    ids=["tripod-sides-1e300"],
 )
 def test_non_finite_report_exits_three(tmp_path, capsys, verb, text):
     # Finite inputs whose report overflows to NaN or Infinity.  Such reports
@@ -284,6 +278,62 @@ def test_non_finite_report_exits_three(tmp_path, capsys, verb, text):
     assert code == 3 and out == ""
     assert err.startswith("internal error: report holds a non-finite number")
     assert "Traceback" not in err
+
+
+EQUILATERAL_1E308 = '{"matrix": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}'
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        (["mb"], EQUILATERAL_1E308),
+        (["line"], EQUILATERAL_1E308),
+        (
+            ["metrize"],
+            '{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1e308], ["b", "c", 1e308]]}',
+        ),
+        (["validate"], '{"matrix": [[0, 1.5], [%s, 0]]}' % BIG),
+        (["metrize"], '{"vertices": ["a", "b"], "edges": [["a", "b", 1e308]]}'),
+        (["tripod", "embed"], '{"sides": ["%s", 1, 1]}' % BIG),
+        (["tripod", "check"], '{"sides": [6e307, 1, 1]}'),
+    ],
+    ids=[
+        "mb-equilateral-1e308",
+        "line-equilateral-1e308",
+        "metrize-path-1e308",
+        "validate-int-beyond-float-range",
+        "metrize-edge-1e308",
+        "tripod-exact-side-beyond-float-range",
+        "tripod-three-sides-overflow",
+    ],
+)
+def test_float_input_beyond_the_range_rule_exits_two(tmp_path, capsys, verb, text):
+    # The largest entry times max(3, n - 1) overflows.  mb said a false
+    # "yes", line printed points 2e308 apart, metrize exited 3, and an
+    # overflowing int or side leaked an OverflowError traceback.
+    code, out, err = run(capsys, verb + [write_raw(tmp_path, "f.json", text)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: float input too large")
+
+
+@pytest.mark.parametrize(
+    "verb, text, want",
+    [
+        (["mb"], EQUILATERAL_1E308.replace("1e308", "5e307"), 1),
+        (
+            ["metrize"],
+            '{"vertices": ["a", "b", "c", "d", "e"], "edges": '
+            '[["a", "b", 4e307], ["b", "c", 4e307], ["c", "d", 4e307], ["d", "e", 4e307]]}',
+            0,
+        ),
+    ],
+    ids=["mb-equilateral-5e307", "metrize-path-4e307"],
+)
+def test_float_input_within_the_range_rule_is_answered(tmp_path, capsys, verb, text, want):
+    code, out, _ = run(capsys, verb + [write_raw(tmp_path, "f.json", text)])
+    assert code == want
+    json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} on stdout"))
 
 
 def test_float_non_transitive_family_exit_two(tmp_path, capsys):

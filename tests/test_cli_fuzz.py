@@ -2,8 +2,9 @@
 
 Every argument of a verb's specs gets a value that works for it, except
 one drawn argument, which gets a hostile one: a valid, invalid,
-non-finite or malformed JSON file, a missing path or a directory for a
-file argument, and one of 0, -1, nan, inf, 1e400 and 9:1 otherwise.
+non-finite, extreme finite (entries near the top of the float range) or
+malformed JSON file, a missing path or a directory for a file argument,
+and one of 0, -1, nan, inf, 1e400 and 9:1 otherwise.
 Whatever the input, main answers with an exit code in {0, 1, 2, 3} (argparse's
 SystemExit(2) counts as 2), lets no other exception escape, prints no
 traceback, prints numbers as reports do, never as a Fraction repr, and
@@ -30,11 +31,19 @@ FILES = {
     "nan.json": '{"matrix": [[0, NaN], [NaN, 0]]}',
     "inf.json": '{"matrix": [[0, Infinity], [Infinity, 0]]}',
     "huge.json": '{"matrix": [[0, 1e400], [1e400, 0]]}',
+    "top.json": '{"matrix": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}',
+    "near_top.json": '{"matrix": [[0, 5e307, 5e307], [5e307, 0, 5e307], [5e307, 5e307, 0]]}',
+    "big_int.json": '{"matrix": [[0, 1.5], [1%s, 0]]}' % ("0" * 400),
     "tri.json": '{"sides": [3, 4, 5]}',
     "flat.json": '{"sides": [1, 2, 3]}',
     "tri_inf.json": '{"sides": [1, 1, Infinity]}',
+    "tri_big.json": '{"sides": [1e300, 1e300, 1e300]}',
+    "tri_top.json": '{"sides": [6e307, 6e307, 6e307]}',
     "graph.json": '{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 2]]}',
     "graph_nan.json": '{"vertices": ["a", "b"], "edges": [["a", "b", NaN]]}',
+    "graph_top.json": (
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1e308], ["b", "c", 1e308]]}'
+    ),
     "family.json": '[{"matrix": [[0, 1], [1, 0]]}, {"matrix": [[0, 2], [2, 0]]}]',
     "broken.json": '{"matrix": [[0, 1], [1',
     "list.json": "[1, 2, 3]",

@@ -315,6 +315,53 @@ def test_prop_pinned_homogeneity_matches_the_self_maps(seed, floats):
     assert msu.classify_space(space).homogeneous == (starts == set(range(space.n)))
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.booleans())
+def test_prop_homogeneity_matches_the_starts_of_found_self_maps(seed, floats):
+    # Two deciders of one property: the pinned searches of classify_space,
+    # and the first images of every self-map find_embeddings lists.
+    space = _homogeneity_case(random.Random(seed))
+    if floats:
+        space = msu.validate_space([[float(v) for v in row] for row in space.matrix])
+    starts = {m.image[0] for m in msu.find_embeddings(space, space)}
+    assert msu.classify_space(space).homogeneous == all(j in starts for j in range(space.n))
+
+
+def _compare_pair(rng):
+    """Two spaces that embed one way, both ways (relabelled copies) or not
+    at all, in either order, each exact or float."""
+    x = _mixed_space(rng, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        y = _mixed_space(rng, 5)
+    else:
+        idx = list(range(x.n))
+        rng.shuffle(idx)
+        y = x.restrict(idx[: rng.randint(1, x.n)] if kind == 1 else idx)
+    pair_ = [x, y]
+    rng.shuffle(pair_)
+    for at, s in enumerate(pair_):
+        if rng.random() < 0.3:
+            pair_[at] = msu.validate_space([[float(v) for v in row] for row in s.matrix])
+    return pair_
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_prop_compare_agrees_with_two_embeds_calls(seed):
+    left, right = _compare_pair(random.Random(seed))
+    lr, rl = msu.embeds(left, right), msu.embeds(right, left)
+    assert lr == bool(brute_embeddings(left, right))
+    assert rl == bool(brute_embeddings(right, left))
+    want = {
+        (True, True): msu.Comparability.BOTH_EMBED,
+        (True, False): msu.Comparability.LEFT_EMBEDS,
+        (False, True): msu.Comparability.RIGHT_EMBEDS,
+        (False, False): msu.Comparability.INCOMPARABLE,
+    }[lr, rl]
+    assert msu.compare(left, right) is want
+
+
 def test_homogeneity_builds_one_map_per_point(monkeypatch):
     # All 9! self-maps of equilateral(9) were listed to decide this before.
     built = []

@@ -182,3 +182,12 @@ def test_prop_exact_shortest_paths_keep_values_and_types(seed):
     ]
     report = msu.check_metrizability(graph)
     assert report.pseudometric == got
+    # The edge and sign tests, which run on the int-scaled rows, read off
+    # the unscaled oracle.
+    bad = [(i, j) for i, j, w in graph.edges if want[i][j] != w]
+    assert report.pseudometrizable == (not bad)
+    if bad:
+        cycle = report.violating_cycle
+        assert (cycle[0], cycle[-1]) == bad[0]
+    apart = all(want[i][j] > 0 for i in range(graph.n) for j in range(i + 1, graph.n))
+    assert report.metrizable == (not bad and apart)

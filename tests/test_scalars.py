@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msu
+from conftest import entrywise_coerce_entries
 from msu.scalars import (
     close,
     coerce_entries,
@@ -84,6 +87,34 @@ def test_coerce_entries_float_mode():
 def test_coerce_entries_mode_mixing_rejected():
     with pytest.raises(msu.InputFormatError):
         coerce_entries([0.5, Fraction(1, 3)])
+
+
+class _Half(float):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+_ENTRIES = (
+    0, 1, -2, 10**400, True, False, 0.5, -0.0, 2.0, _Half(1.5), _Half(3.0),
+    Fraction(3), Fraction(1, 3), Fraction(-4, 2), _Ratio(5), _Ratio(1, 7),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ENTRIES), max_size=8))
+def test_prop_coerce_entries_matches_the_entrywise_tests(values):
+    try:
+        want = entrywise_coerce_entries(values)
+    except (msu.InputFormatError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            coerce_entries(values)
+        return
+    got = coerce_entries(values)
+    assert got == want
+    assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
 
 
 def test_integer_rows_scales_exact_matrices_to_ints():

@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msu
-from conftest import brute_violations, equilateral, from_coords, random_rational_metric
-from msu.scalars import leq
+from conftest import (
+    brute_violations,
+    equilateral,
+    from_coords,
+    random_int_metric,
+    random_rational_metric,
+)
+from msu.scalars import integer_rows, leq
 
 
 def test_equilateral_valid():
@@ -169,7 +175,70 @@ def test_prop_metric_violations_match_the_triple_scan(seed, build, tol):
         assert msu.metric_violations(rows, tol, limit) == full[:limit]
 
 
-def test_valid_exact_input_makes_no_per_triple_call(monkeypatch):
+# Largest entries m on both sides of each step of the packed field width
+# (2m of 7 and 8, 16 and 17, and 65 bits), and the top of the range drawn.
+_PACKED_TOPS = (1, 63, 64, 127, 128, 2**15 - 1, 2**15, 2**63, 10**30)
+
+
+def _exact_extreme(rng, n):
+    """Raw exact rows for the packed filter: a valid base (a closure metric
+    stretched up to 10**30, or a band [ceil(m/2), m], a metric whatever
+    the pattern) with zeros, negative upper entries, faults of every
+    triangle orientation and an asymmetric lower triangle planted, in
+    ints or in Fractions whose denominators have a large lcm."""
+    top = rng.choice(_PACKED_TOPS)
+    if rng.random() < 0.5:
+        stretch = max(1, top // 9)
+        rows = [[v * stretch for v in row] for row in random_int_metric(rng, n)]
+    else:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint((top + 1) // 2, top)
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        if n < 2:
+            break
+        i, j = sorted(rng.sample(range(n), 2))
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[i][j] = rows[j][i] = 0
+        elif kind == 1:
+            rows[i][j] = -rng.randint(1, top)
+        elif kind == 2:
+            rows[i][j] = rows[j][i] = 3 * top + rng.randint(0, 2)
+        elif kind == 3:
+            rows[i][j] = rows[j][i] = rows[i][j] // 3
+        else:
+            rows[j][i] = rng.randint(-top, 3 * top)
+    if rng.random() < 0.2:
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rng.randint(-top, 3 * top)
+    if rng.random() < 0.4:
+        dens = (1, 2, 997, 1009, 65521, 2**31 - 1)
+        rows = [[Fraction(v, rng.choice(dens)) for v in row] for row in rows]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=0, max_value=12))
+def test_prop_packed_triangle_filter_matches_the_triple_scan(seed, n):
+    # n = 0-12 covers both sides of PACKED_MIN_POINTS.
+    rows = _exact_extreme(random.Random(seed), n)
+    full = brute_violations(rows)
+    assert msu.metric_violations(rows) == full
+    for limit in range(1, len(full) + 1):
+        assert msu.metric_violations(rows, limit=limit) == full[:limit]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=3, max_value=14))
+def test_prop_packed_filter_flags_the_pairs_the_passes_flag(seed, n):
+    _, rows = integer_rows(_exact_extreme(random.Random(seed), n))
+    assert list(msu.spaces._packed_suspects(rows)) == list(msu.spaces._suspects(rows))
+
+
+def _counting_leq(monkeypatch):
     calls = []
 
     def counting_leq(a, b, tol=msu.DEFAULT_TOL):
@@ -177,13 +246,36 @@ def test_valid_exact_input_makes_no_per_triple_call(monkeypatch):
         return leq(a, b, tol)
 
     monkeypatch.setattr(msu.spaces, "leq", counting_leq)
-    rows = random_rational_metric(random.Random(40), 40)
-    assert msu.metric_violations(rows) == []
-    assert not calls
-    top = max(max(r) for r in rows)
-    rows[3][17] = rows[17][3] = 3 * top
-    assert any(v.kind == "triangle" for v in msu.metric_violations(rows))
-    assert calls
+    return calls
+
+
+def test_valid_exact_input_makes_no_per_triple_call(monkeypatch):
+    calls = _counting_leq(monkeypatch)
+    for n in (40, 90):
+        rows = random_rational_metric(random.Random(n), n)
+        assert msu.metric_violations(rows) == []
+        assert not calls
+        top = max(max(r) for r in rows)
+        rows[3][17] = rows[17][3] = 3 * top
+        assert any(v.kind == "triangle" for v in msu.metric_violations(rows))
+        assert calls
+        calls.clear()
+
+
+@pytest.mark.parametrize("top", _PACKED_TOPS)
+def test_packed_fields_hold_every_sum_of_two(monkeypatch, top):
+    # Entries in [ceil(m/2), m] form a metric; at m = 64, 127 and 2**15 - 1
+    # the sums of two reach the guard bit of a field one bit too narrow,
+    # which would flag pairs the passes clear.
+    calls = _counting_leq(monkeypatch)
+    rng = random.Random(top)
+    for n in (40, 90):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint((top + 1) // 2, top), 3)
+        assert msu.metric_violations(rows) == []
+        assert not calls
 
 
 @pytest.mark.parametrize("floats", [False, True])
