@@ -119,10 +119,10 @@ def is_mb_space(space: FiniteMetricSpace) -> MBStatus:
     Exact spaces are tested on the int rows they keep, which keeps every
     answer of 2*max = sum.
     """
-    d, _ = space.kernel_rows()
+    d, _, same, _ = space.kernel_rows()
     for i, j, k in combinations(range(space.n), 3):
         a, b, c = d[i][j], d[i][k], d[j][k]
-        if not close(2 * max(a, b, c), a + b + c, space.tol):
+        if not same(2 * max(a, b, c), a + b + c):
             return MBStatus(False, (i, j, k))
     return MBStatus(True, None)
 

@@ -7,7 +7,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import InputFormatError
-from .scalars import close, leq
+from .scalars import Number, close, tolerant
 from .spaces import FiniteMetricSpace
 
 
@@ -49,13 +49,14 @@ def _search(
     codomain's scale once per call, and an x that is no integer there gets
     the empty mask with no compare.  Otherwise it is `close(x, cd[q][p],
     tol)`, the entry and argument order a point-by-point test of
-    "d(i, k) = d'(q, image[k])" reads.  Each entry is filled on first use
-    and kept for the rest of the call; the distinct values of x are
-    numbered once, so a key is one int.  Point i may go to the unused
-    points in the AND of the entries for (image[k], d(i, k)) over k < i;
-    taking them lowest bit first lists the maps in increasing image-tuple
-    order, so `limit` keeps a prefix of the full list.  `pin` fixes
-    image[0].
+    "d(i, k) = d'(q, image[k])" reads, for two float spaces as the
+    formula of scalars.tolerant picked once per call.  Each entry is
+    filled on first use and kept for the rest of the call; the distinct
+    values of x are numbered once, so a key is one int.  Point i may go
+    to the unused points in the AND of the entries for (image[k], d(i, k))
+    over k < i; taking them lowest bit first lists the maps in increasing
+    image-tuple order, so `limit` keeps a prefix of the full list.  `pin`
+    fixes image[0].
     """
     n, m = domain.n, codomain.n
     ds, cs = domain.scaled, codomain.scaled
@@ -68,6 +69,13 @@ def _search(
     if exact:
         # x / ds[0] at the codomain's scale cs[0], or None off its grid
         values = [y if not r else None for y, r in (divmod(x * cs[0], ds[0]) for x in values)]
+    elif ds is None and cs is None:
+        same = tolerant(tol)[0]
+    else:  # one exact space and one float: close's mixed-type rule
+
+        def same(x: Number, y: Number) -> bool:
+            return close(x, y, tol)
+
     masks: dict = {}
 
     def mask(p: int, v: int) -> int:
@@ -76,7 +84,7 @@ def _search(
         if bits is None:
             x, col = values[v], cols[p]
             if not exact:
-                bits = sum(1 << q for q, y in enumerate(col) if close(x, y, tol))
+                bits = sum(1 << q for q, y in enumerate(col) if same(x, y))
             elif x is None:
                 bits = 0
             else:
@@ -190,15 +198,15 @@ class SpaceTraits:
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
     """Strong triangle inequality on every triple (on the int rows of an
-    exact space)."""
-    n, (d, _), tol = space.n, space.kernel_rows(), space.tol
+    exact space), with the compare kernel_rows picks once per call."""
+    n, (d, _, _, below) = space.n, space.kernel_rows()
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
                 if k == i or k == j:
                     continue
                 big = d[i][k] if d[i][k] > d[k][j] else d[k][j]
-                if not leq(d[i][j], big, tol):
+                if not below(d[i][j], big):
                     return False
     return True
 
@@ -219,11 +227,11 @@ def classify_space(space: FiniteMetricSpace) -> SpaceTraits:
     Homogeneous (some self-map sends point 0 to each point j) runs one
     search per j with image[0] pinned to j, stopping at its first map.
     """
-    n, (d, one), tol = space.n, space.kernel_rows(), space.tol
+    n, (d, one, same, _) = space.n, space.kernel_rows()
 
     off = sorted(d[i][j] for i in range(n) for j in range(i + 1, n))
-    discrete = all(close(v, one, tol) for v in off)
-    strongly_rigid = not any(close(a, b, tol) for a, b in zip(off, off[1:]))
+    discrete = all(same(v, one) for v in off)
+    strongly_rigid = not any(same(a, b) for a, b in zip(off, off[1:]))
 
-    homogeneous = all(_search(space, space, tol, 1, pin=j) for j in range(n))
+    homogeneous = all(_search(space, space, space.tol, 1, pin=j) for j in range(n))
     return SpaceTraits(is_ultrametric(space), discrete, strongly_rigid, homogeneous)

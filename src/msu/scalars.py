@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InputFormatError
 
@@ -43,6 +43,23 @@ def leq(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
     if is_exact(a) and is_exact(b):
         return a <= b
     return float(a) <= float(b) or close(a, b, tol)
+
+
+def tolerant(
+    tol: float,
+) -> tuple[Callable[[float, float], bool], Callable[[float, float], bool]]:
+    """close and leq for two floats, with `tol` fixed: the same formulas
+    without the exact-type test, for a kernel that knows its rows are all
+    float (float(x) is x there).  leq's `x <= y or close(...)` skips the
+    `x == y` of close, which cannot hold once `x <= y` has failed."""
+
+    def close_floats(x: float, y: float) -> bool:
+        return x == y or abs(x - y) <= max(tol, tol * max(abs(x), abs(y)))
+
+    def leq_floats(x: float, y: float) -> bool:
+        return x <= y or abs(x - y) <= max(tol, tol * max(abs(x), abs(y)))
+
+    return close_floats, leq_floats
 
 
 def positive(a: Number, tol: float = DEFAULT_TOL) -> bool:

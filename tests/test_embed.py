@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,16 @@ def test_transposed_entries_are_read_as_the_search_reads_them():
     assert maps == brute_embeddings(pair(1.0), cod) == [(0, 1)]
 
 
+def _complete_graph(nx, space):
+    """The complete graph of a space, each edge carrying its distance."""
+    g = nx.Graph()
+    g.add_nodes_from(range(space.n))
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            g.add_edge(i, j, d=space.dist(i, j))
+    return g
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_planted_subspaces_match_networkx(seed):
     iso = pytest.importorskip("networkx.algorithms.isomorphism")
@@ -258,15 +269,7 @@ def test_planted_subspaces_match_networkx(seed):
     cod = msu.validate_space(rows)
     planted = tuple(rng.sample(range(m), k))
     dom = cod.restrict(planted)
-
-    def complete(space):
-        g = nx.Graph()
-        g.add_nodes_from(range(space.n))
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                g.add_edge(i, j, d=space.dist(i, j))
-        return g
-
+    complete = partial(_complete_graph, nx)
     matcher = iso.GraphMatcher(complete(cod), complete(dom), edge_match=lambda a, b: a["d"] == b["d"])
     expected = sorted(
         tuple(c for _, c in sorted((d, c) for c, d in mapping.items()))
@@ -275,6 +278,73 @@ def test_planted_subspaces_match_networkx(seed):
     maps = [pm.image for pm in msu.find_embeddings(dom, cod)]
     assert planted in maps
     assert maps == expected
+
+
+def _noisy_float_grid(rng, m, step):
+    """L1 distances of m distinct grid points times `step`, each off by up
+    to 1e-12 relative (far inside the default tolerance), so that equal
+    distances match only through the tolerance rule."""
+    pts = rng.sample([(x, y) for x in range(7) for y in range(7)], m)
+    rows = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = step * (abs(pts[i][0] - pts[j][0]) + abs(pts[i][1] - pts[j][1]))
+            rows[i][j] = rows[j][i] = d * (1 + rng.uniform(-1e-12, 1e-12))
+    return msu.validate_space(rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_planted_float_subspaces_match_networkx(seed):
+    iso = pytest.importorskip("networkx.algorithms.isomorphism")
+    import networkx as nx
+
+    rng = random.Random(seed)
+    cod = _noisy_float_grid(rng, rng.randint(30, 40), rng.choice((0.1, 0.3)))
+    planted = tuple(rng.sample(range(cod.n), rng.randint(4, 6)))
+    dom = cod.restrict(planted)
+    complete = partial(_complete_graph, nx)
+
+    def same(a, b):
+        # the search's test: close(domain distance, codomain distance)
+        return msu.scalars.close(b["d"], a["d"], cod.tol)
+
+    matcher = iso.GraphMatcher(complete(cod), complete(dom), edge_match=same)
+    expected = sorted(
+        tuple(c for _, c in sorted((d, c) for c, d in mapping.items()))
+        for mapping in matcher.subgraph_isomorphisms_iter()
+    )
+    maps = [pm.image for pm in msu.find_embeddings(dom, cod)]
+    assert planted in maps
+    assert maps == expected
+
+
+def test_valid_float_kernels_make_no_scalar_compare(monkeypatch):
+    # Each float kernel picks scalars.tolerant once per call, so a valid
+    # float space is checked, searched and classified with no close, leq
+    # or positive call.
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for mod in (msu.scalars, msu.spaces, msu.embed, msu.between):
+        for name in ("close", "leq", "positive"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    rng = random.Random(40)
+    cod = _noisy_float_grid(rng, 40, 0.1)
+    assert not calls
+    dom = cod.restrict(rng.sample(range(40), 5))
+    assert msu.find_embeddings(dom, cod)
+    small = cod.restrict(range(8))
+    msu.classify_space(small)
+    msu.is_ultrametric(small)
+    msu.is_mb_space(small)
+    assert not calls
 
 
 def _cycle(n, scale):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from msu.scalars import (
     leq,
     parse_number,
     positive,
+    tolerant,
 )
 
 
@@ -130,3 +132,39 @@ def test_integer_rows_scales_exact_matrices_to_ints():
 def test_integer_rows_gives_none_for_float_matrices():
     for m in ([[0.0, 0.5], [0.5, 0.0]], [[0, 0.5], [Fraction(1, 2), 0]], [[True, 1]]):
         assert integer_rows(m) is None
+
+
+# Signed zeros, subnormals, the largest floats, NaN and infinities.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                1e308, -1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf)
+_TOLS = (0.0, 1e-17, 1e-12, 1e-9, 2.0, 5e-324, 1e308, math.inf, math.nan)
+
+
+@st.composite
+def _float_pairs(draw):
+    """(x, y, tol) with y at the tolerance edge of x: gaps of tol times
+    0.99, 1 and 1.01 (absolute, and relative to |x|), one ulp, or any."""
+    x = draw(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()))
+    tol = draw(st.sampled_from(_TOLS))
+    how = draw(st.sampled_from(("abs", "rel", "ulp", "edge", "any")))
+    if how in ("abs", "rel"):
+        gap = tol * draw(st.sampled_from((0.99, 1.0, 1.01)))
+        y = x + gap * (max(1.0, abs(x)) if how == "rel" else 1.0) * draw(st.sampled_from((1, -1)))
+    elif how == "ulp":
+        y = math.nextafter(x, draw(st.sampled_from((math.inf, -math.inf))))
+    elif how == "edge":
+        y = draw(st.sampled_from(_EDGE_FLOATS))
+    else:
+        y = draw(st.floats())
+    return x, y, tol
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_float_pairs())
+def test_prop_tolerant_matches_close_and_leq_on_floats(pair):
+    x, y, tol = pair
+    close_floats, leq_floats = tolerant(tol)
+    assert close_floats(x, y) == close(x, y, tol)
+    assert close_floats(y, x) == close(y, x, tol)
+    assert leq_floats(x, y) == leq(x, y, tol)
+    assert leq_floats(y, x) == leq(y, x, tol)

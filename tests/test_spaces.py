@@ -299,3 +299,101 @@ def test_valid_input_makes_no_per_entry_call(monkeypatch, floats):
     rows[5][9] = -rows[5][9]
     assert [v.kind for v in msu.metric_violations(rows, limit=1)] == ["asymmetry"]
     assert calls
+
+
+def _float_extreme(rng, n, tol):
+    """Raw float rows for the float packed filter: distances of grid points
+    in the L1, Euclidean or max norm (collinear triples whose float sums
+    miss the third side by an ulp), scaled by 2^k, with faults planted:
+    gaps of tol times 0.5, 0.99, 1, 1.01 and 2 on one side, absolute or
+    relative to it, 1-ulp nudges, NaN and infinities, single int and
+    Fraction entries, and exact triples breaking the triangle inequality
+    by tol / 4, which only an exact compare sees."""
+    side = max(3, math.isqrt(n) + 2)
+    pts = rng.sample([(x, y) for x in range(side) for y in range(side)], n)
+    norm = rng.choice((lambda dx, dy: dx + dy, math.hypot, max))
+    unit = math.ldexp(rng.choice((0.1, 0.3, 1.0)), rng.choice((0, 0, 10, -10, 40, -40, 300, -300)))
+    # at least 8 tol, or every pair is nonpositive and the triangle scan idles
+    unit = max(unit, math.ldexp(unit, math.frexp(8 * tol)[1] - math.frexp(unit)[1]))
+    rows = [[unit * norm(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts] for p in pts]
+    for _ in range(rng.choice((0, 1, 1, 2, 4))):
+        i, j, k = sorted(rng.sample(range(n), 3))
+        v, kind = rows[i][j], rng.randrange(5)
+        if kind >= 3 and not all(map(math.isfinite, (v, rows[j][k]))):
+            kind = 2  # no exact value of NaN or an infinity
+        if kind == 0:
+            gap = tol * rng.choice((0.5, 0.99, 1.0, 1.01, 2.0))
+            rows[i][j] = v + gap * (max(1.0, v) if rng.random() < 0.5 else 1.0)
+        elif kind == 1:
+            rows[i][j] = math.nextafter(v, rng.choice((0.0, math.inf)))
+        elif kind == 2:
+            rows[i][j] = rng.choice((math.nan, math.inf, -math.inf))
+        elif kind == 3:
+            rows[i][j] = rng.choice((Fraction(v), int(v)))
+        else:
+            a, b = Fraction(rows[i][j]), Fraction(rows[j][k])
+            rows[i][j], rows[j][k] = a, b
+            rows[i][k] = rows[k][i] = a + b + Fraction(tol) / 4
+        if rng.random() < 0.7:
+            rows[j][i] = rows[i][j]
+    if rng.random() < 0.2:
+        rows[0][0] = 0
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.integers(min_value=7, max_value=40),
+    st.sampled_from((1e-17, 1e-12, 1e-9, 2.0)),
+)
+def test_prop_float_packed_filter_matches_the_triple_scan(seed, n, tol):
+    rows = _float_extreme(random.Random(seed), n, tol)
+    full = brute_violations(rows, tol)
+    assert msu.metric_violations(rows, tol) == full
+    for limit in range(1, len(full) + 1):
+        assert msu.metric_violations(rows, tol, limit) == full[:limit]
+
+
+@pytest.mark.parametrize("cls", [Fraction, int])
+def test_exact_triples_in_float_rows_compare_exactly(cls):
+    # An all-exact triple inside float rows breaks the triangle inequality
+    # by less than tol: leq compares it exactly, so the float filter must
+    # not pack these rows.
+    n, tol = 12, 2.0 if cls is int else 1e-9
+    rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    rows[2][5] = rows[5][2] = cls(3)
+    rows[5][9] = rows[9][5] = cls(4)
+    rows[2][9] = rows[9][2] = cls(7) + (1 if cls is int else Fraction(tol) / 4)
+    assert msu.metric_violations(rows, tol) == brute_violations(rows, tol)
+    assert msu.Violation("triangle", (2, 5, 9)) in msu.metric_violations(rows, tol)
+
+
+@st.composite
+def _tol_and_top(draw):
+    tol = draw(st.floats(min_value=5e-324, max_value=1e300))
+    top = tol * draw(st.floats(min_value=0.0, max_value=1.0)) * 2.0 ** draw(st.integers(-60, 56))
+    return tol, min(top, 1.7976931348623157e308)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_tol_and_top())
+def test_prop_float_slack_keeps_its_proven_bound(pair):
+    # The premise of the proof in metric_violations: S >= 0 and
+    # S + 2 < tol * 2^s - M * 2^(s - 52), with M * 2^s below 2^62.
+    tol, top = pair
+    scale = msu.spaces._fixed_point(tol, top)
+    if scale is not None:
+        s, slack = scale
+        assert slack >= 0 and int(math.ldexp(top, s)) < 2**62
+        unit = Fraction(2) ** s
+        assert Fraction(tol) * unit - Fraction(top) * unit / 2**52 > slack + 2
+
+
+def test_float_slack_of_the_default_tolerance():
+    # tol = 1e-9 gives s = 33 (tol * 2^s = 8.59...), so S = 8 - 0 - 3.
+    assert msu.spaces._fixed_point(1e-9, 1.0) == (33, 5)
+    # M * 2^-52 about tol: no slack left, the passes run.
+    assert msu.spaces._fixed_point(1e-9, 1e-9 * 2.0**52) is None
+    for bad in (0.0, -1e-9, math.inf, math.nan):
+        assert msu.spaces._fixed_point(bad, 1.0) is None
