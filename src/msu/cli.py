@@ -38,6 +38,14 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _tolerance(flag: str, value: float) -> float:
+    # close(v, 0, tol) holds for every v once tol >= 1 (|v| <= tol * |v|),
+    # so every distance would read as nonpositive.
+    if _positive(flag, value) >= 1:
+        raise msu.InputFormatError(f"{flag} must be below 1, got {value!r}")
+    return value
+
+
 def _finite(flag: str, value: float) -> float:
     if not math.isfinite(value):
         raise msu.InputFormatError(f"{flag} must be finite, got {value!r}")
@@ -60,7 +68,7 @@ def _forbidden(flag: str, raws: list[str]) -> list:
 
 _COMMON = [
     _arg("--pretty", action="store_true", help="indent the JSON report"),
-    _arg("--tol", type=float, default=None, check=_positive,
+    _arg("--tol", type=float, default=None, check=_tolerance,
          help="float comparison and geometric verification tolerance"),
 ]
 _SPACE = _arg("space")

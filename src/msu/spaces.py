@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import frexp, inf, isfinite, ldexp
-from operator import add, eq, getitem, gt, le, mul
-from typing import Callable, Iterator, Optional, Sequence
+from operator import eq, le
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IndexRangeError, InputFormatError, InvalidMetricError
 from .scalars import (
@@ -31,14 +31,11 @@ NONZERO_DIAGONAL = "nonzero-diagonal"
 NONPOSITIVE_DISTANCE = "nonpositive-distance"
 TRIANGLE = "triangle"
 
-# Fewest points for which the packed triangle filter beats the three passes:
-# packing the rows costs about as much as the passes save at n = 6.
-PACKED_MIN_POINTS = 7
-# The same for float rows, which first pay a type scan and a fixed-point
-# conversion: over 15 interleaved rounds of validate_space on L1 grid
-# points, packing took 1.05x the passes' time at n = 8 and 0.93x at n = 9
-# (0.96x and 0.87x on float shortest-path closures of thirds).
-FLOAT_PACKED_MIN_POINTS = 9
+# Fewest points from which the triangle scan takes its pairs from the
+# packed filter.  Below about 18 points, exact or float, packing the rows
+# costs more than the triples it clears; at 18 the two are within 4 %
+# (BENCH_triangle_scan.json).
+PACKED_MIN_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -76,16 +73,12 @@ def metric_violations(
     An exact matrix is checked on its int-scaled rows (same answers, no
     Fraction arithmetic).  `scaled`, when given, must be
     integer_rows(matrix): validate_space passes the rows the new space
-    keeps, so a validated space is scaled once.  Each row, and each
-    pair (i, j) of the triangle scan, first tests all its entries at once
-    (in C-level passes, or on packed ints for a pair of the triangle scan
-    of larger rows); only a row or pair that fails one runs the per-entry
-    tolerance loop, so the list, its order and `limit` are those of the
-    loop alone.  In the triangle loop, a plain `a <= b + c` that holds
-    stands for leq (the triangle pass below), so leq runs only where `<=`
-    fails; on packed float rows, whose entries right of the diagonal (all
-    the loop reads) are all floats, it runs as scalars.tolerant(tol), the
-    same formula.  The tests are sound:
+    keeps, so a validated space is scaled once.  Each diagonal entry, pair
+    and triangle first runs a plain test, and the tolerance rule (close,
+    positive, leq) runs only where that test fails, so the list, its order
+    and `limit` are those of the tolerance rule alone.  From
+    PACKED_MIN_POINTS points up, the triangle loop skips each pair (i, j)
+    whose triangles k > j the packed filter clears.  The tests are sound:
 
     - diagonal: `v == 0` gives float(v) == 0.0, so close(v, 0, tol);
     - symmetry: `a == b` (no identity shortcut, so NaN fails) gives
@@ -93,45 +86,43 @@ def metric_violations(
     - positivity: `v > f and v > f * v`, with f = 0 on int rows, where it
       is positive(v) itself, and f = tol >= 0 otherwise: an exact v is then
       > 0, and for a float v > 0, close(v, 0, tol) reads
-      `v <= max(tol, tol * v)`, the negation of the pass;
+      `v <= max(tol, tol * v)`, the negation of the test;
     - triangle: on two exact values `<=` is leq itself; where a float takes
       part, `a <= b + c` gives float(a) <= b + c (rounding is monotone) and
-      so leq(a, b + c, tol) for every tol.  Each sum is the same IEEE
-      operation as in the loop, since addition commutes, and a NaN fails
-      `<=`;
-    - packed triangle, exact: on int rows of at least PACKED_MIN_POINTS
-      points whose entries right of the diagonal are all >= 0, the three
-      passes of a pair become three big-int tests with the same answers.
-      Given non-negative int tails and a slack S >= 0 (here S = 0), let m
-      be the largest entry and W >= bit_length(2m + S) + 1 a multiple of
-      8, so 2m + S < 2^(W-1).  Row r's tail k > r is packed into one int,
-      d_rk in the W-bit field k - r - 1; shifting row i's right by
-      W(j - i) lines its field k up with row j's, leaving the
-      L = n - 1 - j fields k > j.  ONES has a 1 and H the bit W - 1 in
-      each of those fields.  Take A with fields a_k <= 2m + S
-      (Rj + dij*ONES, Ri + Rj, Ri + dij*ONES, each plus S*ONES: a sum of
-      fields below 2^(W-1) carries into no other field) and B with fields
-      b_k <= m (Ri, dij*ONES, Rj).  A + H has the fields 2^(W-1) + a_k;
-      minus b_k each stays in [1, 2^W), so no field borrows from the
-      next, the difference is these fields side by side, and bit W - 1 of
-      field k is set exactly when a_k >= b_k.  So `(A + H - B) & H == H`
-      holds exactly when b_k <= a_k for every k > j: with the three
-      (A, B) above that is d_ik <= d_ij + d_jk + S, d_ij <= d_ik + d_jk + S
-      and d_jk <= d_ik + d_ij + S over the tail, the three passes when
-      S = 0.  Rj + H + S*ONES and Rj - H - S*ONES are formed once per row,
-      and the three differences share one `& H`;
-    - packed triangle, float: on rows of at least FLOAT_PACKED_MIN_POINTS
-      points whose entries right of the diagonal are all of type float
-      (a pair of exact entries compares without tolerance), with a finite
-      sum (no NaN, no infinity) and all >= 0, with 0 < tol < inf.  Let M
-      be the largest such entry, e(x) the exponent of math.frexp (so
-      x < 2^e(x)), s = 4 - e(tol), so that t = tol * 2^s is in [8, 16)
-      and exact, and u = M * 2^(s - 52).  With e(M) + s <= 62 (else the
-      passes run) every f = int(ldexp(x, s)) is below 2^62 and is
-      floor(x * 2^s): the product is exact, and one in the subnormal range
-      floors to 0 either way.  Take S = floor(t) - floor(u) - 3 (floor(u)
-      is exact too: a rounded u is below 1); if S < 0 the passes run.
-      Then S + 2 < t - u.  If f_a <= f_b + f_c + S, then
+      so leq(a, b + c, tol) for every tol; a NaN fails `<=`;
+    - packed triangle, exact: on int rows whose entries right of the
+      diagonal are all >= 0, the plain tests of a pair's tail become three
+      big-int tests with the same answers.  Given non-negative int tails
+      and a slack S >= 0 (here S = 0), let m be the largest entry and
+      W >= bit_length(2m + S) + 1 a multiple of 8, so 2m + S < 2^(W-1).
+      Row r's tail k > r is packed into one int, d_rk in the W-bit field
+      k - r - 1; shifting row i's right by W(j - i) lines its field k up
+      with row j's, leaving the L = n - 1 - j fields k > j.  ONES has a 1
+      and H the bit W - 1 in each of those fields.  Take A with fields
+      a_k <= 2m + S (Rj + dij*ONES, Ri + Rj, Ri + dij*ONES, each plus
+      S*ONES: a sum of fields below 2^(W-1) carries into no other field)
+      and B with fields b_k <= m (Ri, dij*ONES, Rj).  A + H has the fields
+      2^(W-1) + a_k; minus b_k each stays in [1, 2^W), so no field borrows
+      from the next, the difference is these fields side by side, and bit
+      W - 1 of field k is set exactly when a_k >= b_k.  So
+      `(A + H - B) & H == H` holds exactly when b_k <= a_k for every k > j:
+      with the three (A, B) above that is d_ik <= d_ij + d_jk + S,
+      d_ij <= d_ik + d_jk + S and d_jk <= d_ik + d_ij + S over the tail,
+      the three plain tests of each triangle when S = 0.  Rj + H + S*ONES
+      and Rj - H - S*ONES are formed once per row, and the three
+      differences share one `& H`;
+    - packed triangle, float: on rows whose entries right of the diagonal
+      are all of type float (a pair of exact entries compares without
+      tolerance), with a finite sum (no NaN, no infinity) and all >= 0,
+      with 0 < tol < inf.  Let M be the largest such entry, e(x) the
+      exponent of math.frexp (so x < 2^e(x)), s = 4 - e(tol), so that
+      t = tol * 2^s is in [8, 16) and exact, and u = M * 2^(s - 52).  With
+      e(M) + s <= 62 (else every pair runs the loop) every
+      f = int(ldexp(x, s)) is below 2^62 and is floor(x * 2^s): the
+      product is exact, and one in the subnormal range floors to 0 either
+      way.  Take S = floor(t) - floor(u) - 3 (floor(u) is exact too: a
+      rounded u is below 1); if S < 0 every pair runs the loop.  Then
+      S + 2 < t - u.  If f_a <= f_b + f_c + S, then
       a * 2^s < f_a + 1 <= (b + c) * 2^s + S + 1, so
       a - (b + c) < (S + 1) / 2^s < tol - M * 2^-52 - 2^-s.  The float sum
       is within half an ulp of b + c <= 2M, so fl(b + c) >= b + c - M*2^-52
@@ -141,8 +132,8 @@ def metric_violations(
       holds.  The same holds for each orientation, so a pair the packed
       tests on these ints accept has no violation, and a pair they flag
       runs the loop, which decides alone.  Spaces whose M is large next
-      to tol (M/tol near 2^51 or more) get S < 0 and run the passes: the
-      slack uses only the absolute floor tol of close.
+      to tol (M/tol near 2^51 or more) get S < 0: the slack uses only the
+      absolute floor tol of close.
     """
     _check_square(matrix)
     if scaled is None:
@@ -156,53 +147,35 @@ def metric_violations(
     def full() -> bool:
         return limit is not None and len(out) >= limit
 
-    if not all(map(eq, map(getitem, matrix, range(n)), repeat(0))):
-        for i in range(n):
-            if not close(matrix[i][i], 0, tol):
-                out.append(Violation(NONZERO_DIAGONAL, (i,)))
-                if full():
-                    return out
-    columns = list(zip(*matrix))
     for i in range(n):
-        ri = matrix[i][i + 1 :]
-        if (
-            all(map(eq, ri, columns[i][i + 1 :]))
-            and all(map(gt, ri, repeat(floor)))
-            and all(map(gt, ri, map(mul, ri, repeat(floor))))
-        ):
-            continue
+        v = matrix[i][i]
+        if not (v == 0 or close(v, 0, tol)):
+            out.append(Violation(NONZERO_DIAGONAL, (i,)))
+            if full():
+                return out
+    for i, row in enumerate(matrix):
         for j in range(i + 1, n):
-            if not close(matrix[i][j], matrix[j][i], tol):
+            a, b = row[j], matrix[j][i]
+            if not (a == b or close(a, b, tol)):
                 out.append(Violation(ASYMMETRY, (i, j)))
                 if full():
                     return out
-            if not positive(matrix[i][j], tol):
+            if not (a > floor and a > floor * a or positive(a, tol)):
                 out.append(Violation(NONPOSITIVE_DISTANCE, (i, j)))
                 if full():
                     return out
-
-    def below(a: Number, b: Number) -> bool:
-        return leq(a, b, tol)
-
-    if scaled is not None:
-        pairs = _packed_suspects(matrix) if n >= PACKED_MIN_POINTS else _suspects(matrix)
-    elif n >= FLOAT_PACKED_MIN_POINTS and _all_float(tails := _tails(matrix)):
-        below = tolerant(tol)[1]
-        pairs = _float_suspects(matrix, tails, tol)
-    else:
-        pairs = _suspects(matrix)
-    for i, j in pairs:
+    for i, j in _triangle_pairs(matrix, scaled is not None, tol):
         dij = matrix[i][j]
         for k in range(j + 1, n):
             djk = matrix[j][k]
             dik = matrix[i][k]
             # three unordered conditions: each side at most the sum of the
             # others; a plain `<=` that holds is leq's answer (docstring)
-            if not (dik <= dij + djk or below(dik, dij + djk)):
+            if not (dik <= dij + djk or leq(dik, dij + djk, tol)):
                 out.append(Violation(TRIANGLE, (i, j, k)))
-            elif not (dij <= dik + djk or below(dij, dik + djk)):
+            elif not (dij <= dik + djk or leq(dij, dik + djk, tol)):
                 out.append(Violation(TRIANGLE, (i, k, j)))
-            elif not (djk <= dij + dik or below(djk, dij + dik)):
+            elif not (djk <= dij + dik or leq(djk, dij + dik, tol)):
                 out.append(Violation(TRIANGLE, (j, i, k)))
             else:
                 continue
@@ -211,61 +184,30 @@ def metric_violations(
     return out
 
 
-def _tails(matrix: Sequence[Sequence[Number]]) -> list[Sequence[Number]]:
-    """Row i's entries right of the diagonal, for i < n - 1."""
-    return [row[i + 1 :] for i, row in enumerate(matrix[:-1])]
-
-
-def _all_float(tails: list[Sequence[Number]]) -> bool:
-    return set(map(type, chain.from_iterable(tails))) == {float}
-
-
-def _suspects(matrix: Sequence[Sequence[Number]]) -> Iterator[tuple[int, int]]:
-    """The pairs (i, j), i < j < n - 1, in order, whose tail k > j fails one
-    of the three triangle passes."""
-    n = len(matrix)
-    for i in range(n - 2):
-        row_i = matrix[i]
-        for j in range(i + 1, n - 1):
-            dij = row_i[j]
-            ri, rj = row_i[j + 1 :], matrix[j][j + 1 :]
-            if not (
-                all(map(le, ri, map(add, rj, repeat(dij))))
-                and all(map(le, repeat(dij), map(add, ri, rj)))
-                and all(map(le, rj, map(add, ri, repeat(dij))))
-            ):
-                yield i, j
-
-
-def _packed_suspects(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """_suspects on int rows, each pair's three passes done on packed ints.
-
-    Rows with a negative entry right of the diagonal take _suspects.
-    """
-    tails = _tails(rows)
-    if min(map(min, tails)) < 0:
-        return _suspects(rows)
-    return _guard_bit_suspects(tails, max(map(max, tails)), 0)
-
-
-def _float_suspects(
-    rows: Sequence[Sequence[float]], tails: list[Sequence[float]], tol: float
-) -> Iterator[tuple[int, int]]:
-    """The pairs whose tail may hold a triangle violation, on rows whose
-    `tails` (_tails(rows)) are all floats.
-
-    Rows the fixed-point form fits (see metric_violations) take the packed
-    tests with slack S; any other rows take _suspects.
-    """
-    if not isfinite(sum(map(sum, tails))):
-        return _suspects(rows)
-    top = max(map(max, tails))
-    scale = min(map(min, tails)) >= 0 and _fixed_point(tol, top)
-    if not scale:
-        return _suspects(rows)
-    s, slack = scale
-    fixed = [list(map(int, map(ldexp, tail, repeat(s)))) for tail in tails]
-    return _guard_bit_suspects(fixed, int(ldexp(top, s)), slack)
+def _triangle_pairs(
+    rows: Sequence[Sequence[Number]], exact: bool, tol: float
+) -> Iterable[tuple[int, int]]:
+    """The pairs (i, j), i < j < n - 1, in order, whose triangles k > j the
+    loop of metric_violations runs: from PACKED_MIN_POINTS points up, on
+    rows the packed filter takes (see metric_violations), the pairs it
+    flags; on any other rows, every pair.  `exact` says the rows are the
+    int rows of an exact matrix."""
+    n = len(rows)
+    if n >= PACKED_MIN_POINTS:
+        tails = [row[i + 1 :] for i, row in enumerate(rows[:-1])]
+        if exact:
+            if min(map(min, tails)) >= 0:
+                return _guard_bit_suspects(tails, max(map(max, tails)), 0)
+        elif set(map(type, chain.from_iterable(tails))) == {float} and isfinite(
+            sum(map(sum, tails))
+        ):
+            top = max(map(max, tails))
+            scale = min(map(min, tails)) >= 0 and _fixed_point(tol, top)
+            if scale:
+                s, slack = scale
+                fixed = [list(map(int, map(ldexp, tail, repeat(s)))) for tail in tails]
+                return _guard_bit_suspects(fixed, int(ldexp(top, s)), slack)
+    return ((i, j) for i in range(n - 2) for j in range(i + 1, n - 1))
 
 
 def _fixed_point(tol: float, top: float) -> Optional[tuple[int, int]]:

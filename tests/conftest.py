@@ -382,6 +382,25 @@ def brute_violations(matrix, tol=msu.DEFAULT_TOL, limit=None):
     return out
 
 
+def brute_suspect_pairs(rows, slack=0):
+    """The pairs (i, j), i < j < n - 1, in order, with some k > j whose
+    triangle fails one of the three passes `<=`, each side at most the sum
+    of the other two plus `slack`: the pairs the packed triangle filter of
+    metric_violations must flag."""
+    n = len(rows)
+    return [
+        (i, j)
+        for i in range(n - 2)
+        for j in range(i + 1, n - 1)
+        if not all(
+            rows[i][k] <= rows[i][j] + rows[j][k] + slack
+            and rows[i][j] <= rows[i][k] + rows[j][k] + slack
+            and rows[j][k] <= rows[i][j] + rows[i][k] + slack
+            for k in range(j + 1, n)
+        )
+    ]
+
+
 def brute_is_mb_space(space):
     """First triple (lexicographic) with no point between the other two."""
     d = space.dist

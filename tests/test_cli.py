@@ -398,6 +398,17 @@ def test_bad_tolerance_exit_two(files, capsys, value):
         assert code == 2 and out == "" and "must be finite and positive" in err
 
 
+@pytest.mark.parametrize("value", ["1", "5"])
+def test_tolerance_of_one_or_more_exit_two(tmp_path, capsys, value):
+    # At tol >= 1 every distance is close to 0, so a valid space would list
+    # every pair as nonpositive.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"matrix": [[0, 1.5, 1.0], [1.5, 0, 2.5], [1.0, 2.5, 0]]}))
+    assert run(capsys, ["validate", str(path)])[0] == 0
+    code, out, err = run(capsys, ["validate", str(path), "--tol", value])
+    assert code == 2 and out == "" and "--tol must be below 1" in err
+
+
 def test_msu_tol_changes_neither_output_nor_exit_code(files, capsys, monkeypatch):
     # --tol is the one way to set the geometric tolerance.
     argv = ["tripod", "embed", files["eqtri"]]

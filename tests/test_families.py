@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msu
-from conftest import equilateral, from_coords, pair, random_space
+from conftest import equilateral, from_coords, pair, random_space, random_two_value
 
 Z = msu.validate_space([[0, 1, Fraction(3, 2)], [1, 0, 2], [Fraction(3, 2), 2, 0]])
 TRI = msu.validate_space([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
@@ -155,3 +157,38 @@ def test_subclass_is_universal_and_irredundant():
         for i, a in enumerate(sub.members):
             for b in sub.members[i + 1 :]:
                 assert msu.compare(a, b) is msu.Comparability.INCOMPARABLE
+
+
+def _family_with_repeats(rng):
+    """Exact two-distance spaces, each with a relabelled copy and sometimes
+    a one-point restriction: mutual-embeddability classes of one to three
+    members, and members that embed into others."""
+    base = [random_two_value(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
+    members = []
+    for space in base:
+        members += [space, space.restrict(rng.sample(range(space.n), space.n))]
+        if space.n > 1 and rng.random() < 0.5:
+            members.append(space.delete(rng.randrange(space.n)))
+    return members
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_prop_minimal_universal_subclass_is_unique_up_to_isometry(seed):
+    # The uniqueness theorem: two minimal universal subfamilies of one
+    # family, here from two orders of its members, pair off one to one by
+    # mutual embeddability, which for finite spaces is isometry.
+    rng = random.Random(seed)
+    members = _family_with_repeats(rng)
+    subs = []
+    for _ in range(2):
+        rng.shuffle(members)
+        subs.append(msu.minimal_universal_subclass(msu.SpaceFamily(tuple(members))).members)
+    first, second = subs
+    partners = [
+        [j for j, y in enumerate(second) if msu.embeds(x, y) and msu.embeds(y, x)]
+        for x in first
+    ]
+    assert all(len(p) == 1 for p in partners)
+    assert sorted(p[0] for p in partners) == list(range(len(second)))
+    assert all(x.n == second[p[0]].n for x, p in zip(first, partners))

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import msu
 from conftest import (
+    brute_suspect_pairs,
     brute_violations,
     equilateral,
     from_coords,
@@ -15,6 +16,22 @@ from conftest import (
     random_rational_metric,
 )
 from msu.scalars import integer_rows, leq
+from msu.spaces import PACKED_MIN_POINTS
+
+# Sizes on both sides of the one size from which the triangle scan takes
+# its pairs from the packed filter.
+_SIZES = st.integers(min_value=0, max_value=12) | st.integers(
+    min_value=PACKED_MIN_POINTS - 1, max_value=PACKED_MIN_POINTS + 2
+)
+
+
+def _limits(n, full):
+    """The limits to try on n points with the violations `full`: every one
+    up to 12 points; above, where a scrambled matrix holds a violation in
+    almost every triple and each call costs up to the whole scan, the first
+    50 and the last."""
+    limits = range(1, len(full) + 1)
+    return limits if n <= 12 else [*limits[:50], *limits[-1:]]
 
 
 def test_equilateral_valid():
@@ -165,13 +182,14 @@ def _near_tolerance(rng, n):
     st.integers(min_value=0, max_value=2**30),
     st.sampled_from((_planted, _float_grid, _mixed, _non_finite, _near_tolerance)),
     st.sampled_from((1e-12, 1e-9, 2.0)),
+    _SIZES.filter(bool),
 )
-def test_prop_metric_violations_match_the_triple_scan(seed, build, tol):
+def test_prop_metric_violations_match_the_triple_scan(seed, build, tol, n):
     rng = random.Random(seed)
-    rows = build(rng, rng.randint(1, 11))
+    rows = build(rng, n)
     full = brute_violations(rows, tol)
     assert msu.metric_violations(rows, tol) == full
-    for limit in range(1, len(full) + 1):
+    for limit in _limits(n, full):
         assert msu.metric_violations(rows, tol, limit) == full[:limit]
 
 
@@ -221,21 +239,34 @@ def _exact_extreme(rng, n):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=0, max_value=12))
+@given(st.integers(min_value=0, max_value=2**30), _SIZES)
 def test_prop_packed_triangle_filter_matches_the_triple_scan(seed, n):
-    # n = 0-12 covers both sides of PACKED_MIN_POINTS.
     rows = _exact_extreme(random.Random(seed), n)
     full = brute_violations(rows)
     assert msu.metric_violations(rows) == full
-    for limit in range(1, len(full) + 1):
+    for limit in _limits(n, full):
         assert msu.metric_violations(rows, limit=limit) == full[:limit]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=3, max_value=14))
-def test_prop_packed_filter_flags_the_pairs_the_passes_flag(seed, n):
-    _, rows = integer_rows(_exact_extreme(random.Random(seed), n))
-    assert list(msu.spaces._packed_suspects(rows)) == list(msu.spaces._suspects(rows))
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.integers(min_value=3, max_value=14),
+    st.sampled_from((0, 0, 1, 5, 2**20)),
+    st.sampled_from((None, 0, 1)),
+)
+def test_prop_packed_filter_flags_the_pairs_the_passes_flag(seed, n, slack, over):
+    rng = random.Random(seed)
+    rows = [list(row) for row in integer_rows(_exact_extreme(rng, n))[1]]
+    if over is not None:
+        # a tight triangle (common in closure metrics) stretched to the
+        # slack, which the filter clears, or one past it, which it flags
+        i, k = sorted(rng.sample(range(n), 2))
+        rows[i][k] += slack + over
+    tails = [row[i + 1 :] for i, row in enumerate(rows[:-1])]
+    assume(min(map(min, tails)) >= 0)
+    flagged = msu.spaces._guard_bit_suspects(tails, max(map(max, tails)), slack)
+    assert list(flagged) == brute_suspect_pairs(rows, slack)
 
 
 def _counting_leq(monkeypatch):
@@ -251,12 +282,13 @@ def _counting_leq(monkeypatch):
 
 def test_valid_exact_input_makes_no_per_triple_call(monkeypatch):
     calls = _counting_leq(monkeypatch)
-    for n in (40, 90):
+    for n in (10, 40, 90):
         rows = random_rational_metric(random.Random(n), n)
         assert msu.metric_violations(rows) == []
         assert not calls
         top = max(max(r) for r in rows)
-        rows[3][17] = rows[17][3] = 3 * top
+        j = min(17, n - 1)
+        rows[3][j] = rows[j][3] = 3 * top
         assert any(v.kind == "triangle" for v in msu.metric_violations(rows))
         assert calls
         calls.clear()
@@ -291,14 +323,16 @@ def test_valid_input_makes_no_per_entry_call(monkeypatch, floats):
 
     counting("close", msu.scalars.close)
     counting("positive", msu.scalars.positive)
-    rows = random_rational_metric(random.Random(41), 40)
-    if floats:
-        rows = [[float(v) for v in row] for row in rows]
-    assert msu.metric_violations(rows) == []
-    assert not calls
-    rows[5][9] = -rows[5][9]
-    assert [v.kind for v in msu.metric_violations(rows, limit=1)] == ["asymmetry"]
-    assert calls
+    for n in (10, 40):
+        rows = random_rational_metric(random.Random(n + 1), n)
+        if floats:
+            rows = [[float(v) for v in row] for row in rows]
+        assert msu.metric_violations(rows) == []
+        assert not calls
+        rows[5][9] = -rows[5][9]
+        assert [v.kind for v in msu.metric_violations(rows, limit=1)] == ["asymmetry"]
+        assert calls
+        calls.clear()
 
 
 def _float_extreme(rng, n, tol):
@@ -313,6 +347,8 @@ def _float_extreme(rng, n, tol):
     pts = rng.sample([(x, y) for x in range(side) for y in range(side)], n)
     norm = rng.choice((lambda dx, dy: dx + dy, math.hypot, max))
     unit = math.ldexp(rng.choice((0.1, 0.3, 1.0)), rng.choice((0, 0, 10, -10, 40, -40, 300, -300)))
+    if rng.random() < 0.2:
+        unit = 1e8  # at tol 1e-9 the float packed filter has no slack (S < 0)
     # at least 8 tol, or every pair is nonpositive and the triangle scan idles
     unit = max(unit, math.ldexp(unit, math.frexp(8 * tol)[1] - math.frexp(unit)[1]))
     rows = [[unit * norm(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts] for p in pts]
@@ -344,7 +380,7 @@ def _float_extreme(rng, n, tol):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**30),
-    st.integers(min_value=7, max_value=40),
+    st.integers(min_value=3, max_value=40),
     st.sampled_from((1e-17, 1e-12, 1e-9, 2.0)),
 )
 def test_prop_float_packed_filter_matches_the_triple_scan(seed, n, tol):
@@ -355,18 +391,31 @@ def test_prop_float_packed_filter_matches_the_triple_scan(seed, n, tol):
         assert msu.metric_violations(rows, tol, limit) == full[:limit]
 
 
+@pytest.mark.parametrize("gap", [0.99, 1.01])
+def test_float_packed_filter_flags_a_gap_just_above_tol(gap):
+    # Points k/64 on a line: every float sum is exact, and every triangle
+    # through the stretched pair (0, n - 1) misses by gap * tol, all below 1.
+    n, tol = PACKED_MIN_POINTS + 4, 1e-9
+    rows = [[abs(i - j) / 64 for j in range(n)] for i in range(n)]
+    rows[0][n - 1] = rows[n - 1][0] = rows[0][n - 1] + gap * tol
+    full = msu.metric_violations(rows, tol)
+    assert full == brute_violations(rows, tol)
+    assert len(full) == (n - 2 if gap > 1 else 0)
+
+
 @pytest.mark.parametrize("cls", [Fraction, int])
 def test_exact_triples_in_float_rows_compare_exactly(cls):
     # An all-exact triple inside float rows breaks the triangle inequality
     # by less than tol: leq compares it exactly, so the float filter must
     # not pack these rows.
-    n, tol = 12, 2.0 if cls is int else 1e-9
-    rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
-    rows[2][5] = rows[5][2] = cls(3)
-    rows[5][9] = rows[9][5] = cls(4)
-    rows[2][9] = rows[9][2] = cls(7) + (1 if cls is int else Fraction(tol) / 4)
-    assert msu.metric_violations(rows, tol) == brute_violations(rows, tol)
-    assert msu.Violation("triangle", (2, 5, 9)) in msu.metric_violations(rows, tol)
+    tol = 2.0 if cls is int else 1e-9
+    for n in (12, PACKED_MIN_POINTS + 4):
+        rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+        rows[2][5] = rows[5][2] = cls(3)
+        rows[5][9] = rows[9][5] = cls(4)
+        rows[2][9] = rows[9][2] = cls(7) + (1 if cls is int else Fraction(tol) / 4)
+        assert msu.metric_violations(rows, tol) == brute_violations(rows, tol)
+        assert msu.Violation("triangle", (2, 5, 9)) in msu.metric_violations(rows, tol)
 
 
 @st.composite
