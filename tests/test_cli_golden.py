@@ -124,14 +124,17 @@ RUNS = [
     ["tripod", "check", g("wt.json")],
     ["tripod", "check", g("eqtri.json"), "--solver-tol", "1e-5", "--forbid", "1:0.5"],
     ["tripod", "check", g("eqtri.json"), "--solver-tol", "0"],
+    ["tripod", "check", g("flat.json")],
     ["xalpha", "embed", g("eqtri.json"), "--alpha", "0.7853981633974483"],
     ["xalpha", "embed", g("eqtri.json"), "--alpha", "1.0471975511965976"],
     ["xalpha", "embed", g("tri345.json"), "--alpha", "1"],
     ["xalpha", "embed", g("eqtri.json"), "--alpha", "4"],
+    ["xalpha", "embed", g("flat.json"), "--alpha", "1"],
     ["xalpha", "witness", "--alpha", "0.7", "--t", "1"],
     ["xalpha", "witness", "--alpha", "0.7", "--ray", "1", "--t", "2"],
     ["xalpha", "check", g("eqtri.json"), "--alpha", "0.5"],
     ["xalpha", "check", g("tri345.json"), "--alpha", "1.2", "--forbid", "0:1", "--tol", "1e-8"],
+    ["xalpha", "check", g("flat.json"), "--alpha", "0.5"],
     ["f2", "embed", "--t", "5/2"],
     ["f2", "embed", "--t", "7"],
     ["f2", "embed", "--t", "1/2"],
