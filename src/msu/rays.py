@@ -1,4 +1,9 @@
-"""Planar ray unions: tripod and two-ray embeddings, witnesses, and the solver."""
+"""Planar ray unions: tripod and two-ray embeddings, witnesses, and the solver.
+
+A triangle is solved divided by 2^e, its longest side in [1/2, 1), and its answers
+are scaled back exactly (x -> 2^e x maps each ray onto itself).  Caller-unit lengths
+enter divided by 2^e; in this unit frame one eps_geo checks placements and flatness.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .between import line_realization
 from .errors import (
     AlphaRangeError,
     DegenerateTriangleError,
@@ -18,8 +22,8 @@ from .errors import (
     OriginNotAllowedError,
     WrongCardinalityError,
 )
-from .scalars import DEFAULT_TOL, leq
-from .spaces import FiniteMetricSpace, validate_space
+from .scalars import leq
+from .spaces import FiniteMetricSpace
 
 EPS_GEO = 1e-9
 SOLVER_TOL = 1e-6
@@ -41,23 +45,20 @@ class Triangle:
 
     def __post_init__(self) -> None:
         sides = (float(self.a), float(self.b), float(self.c))
-        object.__setattr__(self, "a", sides[0])
-        object.__setattr__(self, "b", sides[1])
-        object.__setattr__(self, "c", sides[2])
-        for s in sides:
+        for name, s in zip("abc", sides):
+            object.__setattr__(self, name, s)
             if not s > 0:
                 raise InvalidTripleError(f"side {s!r} is not positive")
-        a, b, c = sides
+        a, b, c = _frame(sides)[0]
         if not (leq(a, b + c) and leq(b, a + c) and leq(c, a + b)):
-            raise InvalidTripleError(
-                f"sides {a}, {b}, {c} violate the triangle inequality"
-            )
+            listed = ", ".join(map(str, sides))
+            raise InvalidTripleError(f"sides {listed} violate the triangle inequality")
 
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
     def is_degenerate(self) -> bool:
-        return _is_flat(self.sides())
+        return _is_flat(_frame(_pair_distances(self))[0], EPS_GEO)
 
     def payload(self) -> dict:
         return {"sides": [self.a, self.b, self.c]}
@@ -114,6 +115,7 @@ class RayPoint:
 
 
 TriangleLike = Union[Triangle, FiniteMetricSpace]
+_LINE = RaySpace((0.0,), True)
 
 
 def _pair_distances(tri: TriangleLike) -> tuple[float, float, float]:
@@ -122,34 +124,52 @@ def _pair_distances(tri: TriangleLike) -> tuple[float, float, float]:
         return (tri.c, tri.b, tri.a)
     if tri.n != 3:
         raise WrongCardinalityError(f"need exactly 3 points, got {tri.n}")
-    return (
-        float(tri.dist(0, 1)),
-        float(tri.dist(0, 2)),
-        float(tri.dist(1, 2)),
-    )
+    pair = (float(tri.dist(0, 1)), float(tri.dist(0, 2)), float(tri.dist(1, 2)))
+    if not min(pair) > 0:
+        raise InvalidTripleError(f"distances {pair} are not all positive in binary64")
+    return pair
+
+
+def _frame(pair: tuple[float, float, float]) -> tuple[tuple[float, float, float], int]:
+    """The distances divided by 2^e, the longest in [1/2, 1), and e."""
+    e = math.frexp(max(pair))[1]
+    return (math.ldexp(pair[0], -e), math.ldexp(pair[1], -e), math.ldexp(pair[2], -e)), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, exact, or an infinity where it overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _dist_of(pair: tuple[float, float, float], i: int, j: int) -> float:
-    d01, d02, d12 = pair
-    if {i, j} == {0, 1}:
-        return d01
-    if {i, j} == {0, 2}:
-        return d02
-    return d12
+    return pair[i + j - 1]
 
 
 def _vertex_cos(pair: tuple[float, float, float], v: int) -> float:
     """Cosine of the triangle angle at vertex v."""
     u, w = [x for x in range(3) if x != v]
-    p = _dist_of(pair, v, u)
-    q = _dist_of(pair, v, w)
-    r = _dist_of(pair, u, w)
+    p, q, r = _dist_of(pair, v, u), _dist_of(pair, v, w), _dist_of(pair, u, w)
     return (p * p + q * q - r * r) / (2 * p * q)
 
 
-def _is_flat(pair: tuple[float, float, float]) -> bool:
-    s = sorted(pair)
-    return math.isclose(s[2], s[0] + s[1], rel_tol=EPS_GEO, abs_tol=EPS_GEO)
+def _wide_corner(pair: tuple[float, float, float]) -> Optional[int]:
+    """The first vertex whose angle is 120 degrees or wider, if any."""
+    return next((v for v in range(3) if _vertex_cos(pair, v) <= -0.5 + 1e-12), None)
+
+
+def _flat_layout(pair: tuple[float, float, float]) -> tuple[float, float, float]:
+    """The triple on a line, near end at 0: vertices 1 and 2 at their distances
+    from vertex 0, on one side of it unless it is the middle (d12 longest)."""
+    d01, d02, d12 = pair
+    return (d02, d02 + d01, 0.0) if d12 > max(d01, d02) else (0.0, d01, d02)
+
+
+def _is_flat(pair: tuple[float, float, float], eps_geo: float) -> bool:
+    """The one flatness rule: the flat layout passes the distance check."""
+    return _distances_ok(_LINE, [RayPoint(0, t) for t in _flat_layout(pair)], pair, eps_geo)
 
 
 @dataclass(frozen=True)
@@ -181,34 +201,31 @@ def fermat_torricelli(tri: TriangleLike) -> FTResult:
     Interior case distances satisfy r_i^2 + r_j^2 + r_i r_j = d(i,j)^2,
     the law of cosines at 120 degrees.
     """
-    pair = _pair_distances(tri)
-    if _is_flat(pair):
-        raise DegenerateTriangleError(
-            f"vertices with distances {pair} are collinear"
-        )
-    cosines = [_vertex_cos(pair, v) for v in range(3)]
-    wide = [v for v in range(3) if cosines[v] <= -0.5 + 1e-12]
-    if wide:
-        v = wide[0]
+    pair, e = _frame(_pair_distances(tri))
+    if _is_flat(pair, EPS_GEO):
+        raise DegenerateTriangleError(f"vertices with distances {_pair_distances(tri)} are collinear")
+    if (v := _wide_corner(pair)) is not None:
         u, w = [x for x in range(3) if x != v]
         total = _dist_of(pair, v, u) + _dist_of(pair, v, w)
-        return FTResult("vertex", None, v, total)
+        return FTResult("vertex", None, v, _ldexp(total, e))
+    r, total = _fermat_point(pair)
+    return FTResult("interior", tuple(_ldexp(x, e) for x in r), None, _ldexp(total, e))
 
+
+def _fermat_point(pair: tuple[float, float, float]) -> tuple[tuple[float, ...], float]:
+    """Unit-frame distances from the interior Fermat point to the vertices, and their sum."""
     d01, d02, d12 = pair
     sq = d01 * d01 + d02 * d02 + d12 * d12
     area = _triangle_area(pair)
     t_sq = sq / 2 + 2 * math.sqrt(3.0) * area
     total = math.sqrt(t_sq)
-    # Distance from the interior point to vertex v, opposite side length opp.
-    opp = {0: d12, 1: d02, 2: d01}
-    r = tuple((t_sq + sq - 3 * opp[v] * opp[v]) / (3 * total) for v in range(3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            want = _dist_of(pair, i, j)
-            got = math.sqrt(r[i] * r[i] + r[j] * r[j] + r[i] * r[j])
-            if abs(got - want) > 1e-6 * max(1.0, want):
-                raise InternalCheckError("interior point distances failed the 120-degree law")
-    return FTResult("interior", r, None, total)
+    # Distance from the interior point to vertex v, opposite side pair[2 - v].
+    r = tuple((t_sq + sq - 3 * pair[2 - v] * pair[2 - v]) / (3 * total) for v in range(3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        got = math.sqrt(r[i] * r[i] + r[j] * r[j] + r[i] * r[j])
+        if not abs(got - _dist_of(pair, i, j)) <= 1e-6:
+            raise InternalCheckError("interior point distances failed the 120-degree law")
+    return r, total
 
 
 def _triangle_area(pair: tuple[float, float, float]) -> float:
@@ -218,35 +235,27 @@ def _triangle_area(pair: tuple[float, float, float]) -> float:
     return math.sqrt(max(s, 0.0)) / 4
 
 
-def _flat_placement(pair: tuple[float, float, float], start: float) -> list[RayPoint]:
-    """A flat triple in its line order on ray 0, the near end at start."""
-    d01, d02, d12 = pair
-    line = line_realization(validate_space(
-        [[0.0, d01, d02], [d01, 0.0, d12], [d02, d12, 0.0]], tol=max(DEFAULT_TOL, EPS_GEO)
-    ))
-    if line is None:
-        raise InternalCheckError("flat triple failed to line up")
-    lo = min(line.coords)
-    return [RayPoint(0, float(t - lo) + start) for t in line.coords]
-
-
 def _distances_ok(
-    rays: RaySpace,
-    pts: Sequence[RayPoint],
-    pair: tuple[float, float, float],
-    eps_geo: float,
+    rays: RaySpace, pts: Sequence[RayPoint], pair: tuple[float, float, float], eps_geo: float
 ) -> bool:
-    """Whether the points lie the distances (d01, d02, d12) apart in the
-    plane, within eps_geo relative (absolute below 1)."""
-    return not any(
-        abs(rays.point_distance(pts[i], pts[j]) - want) > eps_geo * max(1.0, want)
-        for i, j, want in ((0, 1, pair[0]), (0, 2, pair[1]), (1, 2, pair[2]))
+    """Whether the points lie the unit-frame distances apart, each within eps_geo; NaN fails."""
+    return all(
+        abs(rays.point_distance(pts[i], pts[j]) - _dist_of(pair, i, j)) <= eps_geo
+        for i, j in ((0, 1), (0, 2), (1, 2))
     )
 
 
-def embed_triple_tripod(
-    tri: TriangleLike, eps_geo: float = EPS_GEO
+def _checked(
+    rays: RaySpace, pts: list[RayPoint], pair: tuple[float, float, float], e: int, eps_geo: float
 ) -> list[RayPoint]:
+    """A unit-frame placement in caller units, once it passes the distance check."""
+    if not _distances_ok(rays, pts, pair, eps_geo):
+        drifted = tuple(math.ldexp(d, e) for d in pair)
+        raise InternalCheckError(f"placement drifted from the distances {drifted}")
+    return [RayPoint(p.ray, _ldexp(p.t, e)) for p in pts]
+
+
+def embed_triple_tripod(tri: TriangleLike, eps_geo: float = EPS_GEO) -> list[RayPoint]:
     """Place three points on the tripod, preserving their distances.
 
     Flat triples go onto a single ray.  A 120-degree-or-wider corner goes
@@ -254,30 +263,20 @@ def embed_triple_tripod(
     vertex takes its own ray at its distance from the interior minimizer
     of fermat_torricelli.
     """
-    rays = RaySpace.tripod()
-    pair = _pair_distances(tri)
-    if _is_flat(pair):
-        pts = _flat_placement(pair, 0.0)
+    pair, e = _frame(_pair_distances(tri))
+    if _is_flat(pair, eps_geo):
+        pts = [RayPoint(0, t) for t in _flat_layout(pair)]
+    elif (v := _wide_corner(pair)) is not None:
+        g, h = (v + 1) % 3, (v + 2) % 3
+        beta = math.acos(max(-1.0, min(1.0, _vertex_cos(pair, v))))
+        h_len = _dist_of(pair, v, h)
+        t_f = max(0.0, -h_len * (math.cos(beta) + math.sin(beta) / math.sqrt(3.0)))
+        s = 2 * h_len * math.sin(beta) / math.sqrt(3.0)
+        at = {v: RayPoint(0, t_f), g: RayPoint(0, t_f + _dist_of(pair, v, g)), h: RayPoint(1, s)}
+        pts = [at[k] for k in range(3)]
     else:
-        cosines = [_vertex_cos(pair, v) for v in range(3)]
-        wide = [v for v in range(3) if cosines[v] <= -0.5 + 1e-12]
-        if wide:
-            v = wide[0]
-            g, e = (v + 1) % 3, (v + 2) % 3
-            beta = math.acos(max(-1.0, min(1.0, cosines[v])))
-            e_len = _dist_of(pair, v, e)
-            g_len = _dist_of(pair, v, g)
-            t_f = max(0.0, -e_len * (math.cos(beta) + math.sin(beta) / math.sqrt(3.0)))
-            s = 2 * e_len * math.sin(beta) / math.sqrt(3.0)
-            at = {v: RayPoint(0, t_f), g: RayPoint(0, t_f + g_len), e: RayPoint(1, s)}
-            pts = [at[k] for k in range(3)]
-        else:
-            ft = fermat_torricelli(tri)
-            assert ft.distances is not None
-            pts = [RayPoint(v, ft.distances[v]) for v in range(3)]
-    if not _distances_ok(rays, pts, pair, eps_geo):
-        raise InternalCheckError(f"placement drifted from the distances {pair}")
-    return pts
+        pts = [RayPoint(v, r) for v, r in enumerate(_fermat_point(pair)[0])]
+    return _checked(RaySpace.tripod(), pts, pair, e, eps_geo)
 
 
 def embed_triple_two_rays(
@@ -291,12 +290,12 @@ def embed_triple_two_rays(
     opposite vertex onto the other ray.
     """
     rays = RaySpace.two_rays(alpha)
-    pair = _pair_distances(tri)
-    if _is_flat(pair):
-        pts = _flat_placement(pair, 0.5)
+    pair, e = _frame(_pair_distances(tri))
+    if _is_flat(pair, eps_geo):
+        start = _ldexp(0.5, -e)
+        pts = [RayPoint(0, t + start) for t in _flat_layout(pair)]
     else:
-        order = sorted(range(3), key=lambda v: _vertex_cos(pair, v))
-        v = order[0]
+        v = min(range(3), key=lambda v: _vertex_cos(pair, v))
         gamma = math.acos(max(-1.0, min(1.0, _vertex_cos(pair, v))))
         u, w = [x for x in range(3) if x != v]
         p_len = _dist_of(pair, v, w)
@@ -306,9 +305,7 @@ def embed_triple_two_rays(
         t_p = p_len * math.sin(gamma) / math.sin(alpha)
         at = {v: RayPoint(0, q1), u: RayPoint(0, q1 + _dist_of(pair, v, u)), w: RayPoint(1, t_p)}
         pts = [at[k] for k in range(3)]
-    if not _distances_ok(rays, pts, pair, eps_geo):
-        raise InternalCheckError(f"placement drifted from the distances {pair}")
-    return pts
+    return _checked(rays, pts, pair, e, eps_geo)
 
 
 def witness_triangle_tripod(e: RayPoint) -> Triangle:
@@ -353,21 +350,23 @@ def solve_constrained_embedding(
     inscribed-angle construction, and a flat triple on one ray a sliding
     continuum.  A continuum is listed by representatives: per ray and end
     order of a flat triple, the near end at 0 (origin included) or 0.5
-    (2 * tol if larger), moved outward to the nearest offset that clears every forbidden point
-    by 2 * tol; on a circumcircle, the midpoint of each arc.  Flat triples
-    straddling two opposite rays are not listed; they always have one-ray
-    placements as well.  Roots are kept when the planar distances check
-    out, every coordinate is admissible for the origin rule, and no image
-    point comes within tol of a forbidden point.  An empty result means
-    no placement exists.  A forbidden point on a ray the space does not
-    have raises IndexRangeError.
+    (2 * tol if larger; both in caller units), moved outward to the nearest
+    offset that clears every forbidden point by 2 * tol; on a circumcircle,
+    the midpoint of each arc.  Flat triples straddling two opposite rays
+    are not listed; they always have one-ray placements as well.  Roots
+    are kept when the planar distances check out, every coordinate is
+    admissible for the origin rule, and no image point comes within tol of
+    a forbidden point.  An empty result means no placement exists.  A
+    forbidden point on a ray the space does not have raises IndexRangeError.
     """
     for f in forbidden:
         if not 0 <= f.ray < len(rays.angles):
             raise IndexRangeError(f"forbidden point {f.ray}:{f.t!r} is on no ray of the space")
-    pair = _pair_distances(tri)
-    flat = _is_flat(pair)
-    fpts = [rays.planar(f) for f in forbidden]
+    pair, e = _frame(_pair_distances(tri))
+    tol = _ldexp(tol, -e)
+    flat = _is_flat(pair, eps_geo)
+    fpts = [rays.planar(RayPoint(f.ray, _ldexp(f.t, -e))) for f in forbidden]
+    start = 0.0 if rays.include_origin else max(_ldexp(0.5, -e), 2 * tol)
 
     results: list[list[RayPoint]] = []
     for assign in product(range(len(rays.angles)), repeat=3):
@@ -377,7 +376,7 @@ def solve_constrained_embedding(
         elif len(set(assign)) == 2:
             roots = _two_ray_roots(pair, assign, theta, flat)
         elif flat:
-            roots = _one_ray_roots(pair, theta[0], fpts, rays.include_origin, tol)
+            roots = _one_ray_roots(pair, theta[0], fpts, start, tol)
         else:
             roots = []
         kept: list[tuple[float, ...]] = []
@@ -396,7 +395,7 @@ def solve_constrained_embedding(
                 continue
             kept.append(ts)
         for key in sorted(kept):
-            results.append([RayPoint(assign[v], key[v]) for v in range(3)])
+            results.append([RayPoint(assign[v], _ldexp(key[v], e)) for v in range(3)])
     return results
 
 
@@ -475,10 +474,10 @@ def _one_ray_roots(
     pair: tuple[float, float, float],
     theta: float,
     fpts: list[tuple[float, float]],
-    include_origin: bool,
+    start: float,
     tol: float,
 ) -> list[tuple[float, ...]]:
-    """A flat triple on one ray: one representative per end order."""
+    """A flat triple on one ray: per end order, the near end at start or past forbidden points."""
     mid = 2 - max(range(3), key=lambda s: pair[s])
     ends = [v for v in range(3) if v != mid]
     ux, uy = math.cos(theta), math.sin(theta)
@@ -489,7 +488,7 @@ def _one_ray_roots(
         offs = [0.0, 0.0, 0.0]
         offs[mid] = _dist_of(pair, near, mid)
         offs[far] = _dist_of(pair, near, far)
-        s = 0.0 if include_origin else max(0.5, 2 * tol)
+        s = start
         moved = any(math.hypot(s + u - x, h) < tol for x, h in along for u in offs)
         while moved:
             moved = False

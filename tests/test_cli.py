@@ -267,17 +267,107 @@ def test_internal_error_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "verb, text",
-    [(["tripod", "embed"], '{"sides": [1e300, 1e300, 1e300]}')],
-    ids=["tripod-sides-1e300"],
+    "argv, sides",
+    [
+        (["tripod", "witness", "--t", "1.5e308"], None),
+        (["xalpha", "embed", "--alpha", "0.1"], [5.9e307, 5.8e307, 1e307]),
+    ],
+    ids=["tripod-witness-t-1.5e308", "xalpha-embed-points-beyond-float-range"],
 )
-def test_non_finite_report_exits_three(tmp_path, capsys, verb, text):
-    # Finite inputs whose report overflows to NaN or Infinity.  Such reports
-    # once went to stdout as invalid JSON, with exit code 0 and 1.
-    code, out, err = run(capsys, verb + [write_raw(tmp_path, "f.json", text)])
+def test_non_finite_report_exits_three(tmp_path, capsys, argv, sides):
+    # Finite inputs whose report overflows to NaN or Infinity: the witness
+    # side t * sqrt(3), or a placement on rays 0.1 apart that lies farther
+    # out than the largest float.  Such reports once went to stdout as
+    # invalid JSON, with exit code 0 and 1.
+    if sides is not None:
+        argv = argv[:2] + [write_raw(tmp_path, "t.json", json.dumps({"sides": sides}))] + argv[2:]
+    code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith("internal error: report holds a non-finite number")
     assert "Traceback" not in err
+
+
+NEAR_FLAT = [1.1067317415328546, 0.6223776869886053, 1.7291094269704095]
+EXACT_NEAR_FLAT = ["1", "1", "1999999999/1000000000"]
+
+
+@pytest.mark.parametrize(
+    "sides, verb, count",
+    [
+        ([1e-300] * 3, ["tripod", "embed"], None),
+        ([1e-300] * 3, ["tripod", "check"], 6),
+        ([1e-320] * 3, ["tripod", "check"], 6),
+        ([1e300] * 3, ["tripod", "embed"], None),
+        ([1e300] * 3, ["tripod", "check"], 6),
+        ([1e300] * 3, ["xalpha", "check", "--alpha", "0.5"], 12),
+        ([3.1e-150, 4.7e-150, 5.3e-150], ["tripod", "check"], 6),
+        ([3.1, 4.7, 5.3], ["tripod", "check"], 6),
+        (NEAR_FLAT, ["tripod", "embed"], None),
+        (NEAR_FLAT, ["xalpha", "embed", "--alpha", "0.5"], None),
+        (NEAR_FLAT, ["tripod", "check"], 6),
+        (NEAR_FLAT, ["xalpha", "check", "--alpha", "0.5"], 4),
+        (EXACT_NEAR_FLAT, ["tripod", "embed"], None),
+        (EXACT_NEAR_FLAT, ["xalpha", "embed", "--alpha", "0.5"], None),
+        (EXACT_NEAR_FLAT, ["tripod", "check"], 6),
+        (EXACT_NEAR_FLAT, ["xalpha", "check", "--alpha", "0.5"], 4),
+    ],
+    ids=[
+        "tripod-embed-1e-300", "tripod-check-1e-300", "tripod-check-1e-320",
+        "tripod-embed-1e300", "tripod-check-1e300",
+        "xalpha-check-1e300", "tripod-check-1e-150", "tripod-check-unit",
+        "tripod-embed-near-flat", "xalpha-embed-near-flat", "tripod-check-near-flat",
+        "xalpha-check-near-flat", "tripod-embed-exact-near-flat", "xalpha-embed-exact-near-flat",
+        "tripod-check-exact-near-flat", "xalpha-check-exact-near-flat",
+    ],
+)
+def test_ray_verbs_answer_at_any_scale_and_near_flat(tmp_path, capsys, sides, verb, count):
+    # Each but the unit triangle, the reference count, once gave a traceback,
+    # exit 3, a false "no" or a count that depended on the unit:
+    # (3.1, 4.7, 5.3) * 1e-150 had 27 placements.
+    path = write_raw(tmp_path, "t.json", json.dumps({"sides": sides}))
+    code, out, err = run(capsys, verb[:2] + [path] + verb[2:])
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} on stdout"))
+    if count is not None:
+        assert doc["count"] == count
+
+
+@pytest.mark.parametrize("sides", [[1, 1, 3], [1e-300, 1e-300, 3e-300]], ids=["unit", "1e-300"])
+def test_triangle_inequality_is_tested_at_unit_scale(tmp_path, capsys, sides):
+    # The tiny triangle once passed the absolute floor of the inequality
+    # test and then exited 2 with a false "not a metric".
+    path = write_raw(tmp_path, "t.json", json.dumps({"sides": sides}))
+    for verb in (["tripod", "embed"], ["tripod", "check"]):
+        code, out, err = run(capsys, verb + [path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: sides") and "violate the triangle inequality" in err
+
+
+def test_exact_triangle_below_the_float_range_exits_two(tmp_path, capsys):
+    # Exact distances that are 0.0 as floats: tripod check leaked a
+    # ZeroDivisionError traceback, and in the unit frame tripod embed would
+    # have put all three points at 0.
+    tiny = "1/1" + "0" * 400
+    doc = {"matrix": [[0, tiny, tiny], [tiny, 0, tiny], [tiny, tiny, 0]]}
+    path = write_raw(tmp_path, "t.json", json.dumps(doc))
+    for verb in (["tripod", "embed"], ["tripod", "check"]):
+        code, out, err = run(capsys, verb + [path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: distances (0.0, 0.0, 0.0) are not all positive")
+
+
+@pytest.mark.parametrize(
+    "longest, code", [(3e-8, 0), (3e-10, 3), (3e-320, 3)], ids=["3e-8", "3e-10", "3e-320"]
+)
+def test_flat_triangle_too_small_for_the_two_ray_start(tmp_path, capsys, longest, code):
+    # The start 0.5 of a flat triple off the origin stays in caller units,
+    # so a flat triangle far smaller than it cannot be resolved next to it
+    # (at 3e-320 the start does not even fit the triangle's unit frame).
+    sides = [longest / 3, 2 * longest / 3, longest]
+    path = write_raw(tmp_path, "t.json", json.dumps({"sides": sides}))
+    got, out, err = run(capsys, ["xalpha", "embed", path, "--alpha", "0.5"])
+    assert got == code and "Traceback" not in err
+    assert (out != "") == (code == 0)
 
 
 EQUILATERAL_1E308 = '{"matrix": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}'

@@ -2,9 +2,10 @@
 
 Every argument of a verb's specs gets a value that works for it, except
 one drawn argument, which gets a hostile one: a valid, invalid,
-non-finite, extreme finite (entries near the top of the float range) or
-malformed JSON file, a missing path or a directory for a file argument,
-and one of 0, -1, nan, inf, 1e400 and 9:1 otherwise.
+non-finite, extreme finite (entries near the top of the float range, or
+triangle sides near the bottom) or malformed JSON file, a missing path or
+a directory for a file argument, and one of 0, -1, nan, inf, 1e400 and
+9:1 otherwise.
 Whatever the input, main answers with an exit code in {0, 1, 2, 3} (argparse's
 SystemExit(2) counts as 2), lets no other exception escape, prints no
 traceback, prints numbers as reports do, never as a Fraction repr, and
@@ -39,6 +40,8 @@ FILES = {
     "tri_inf.json": '{"sides": [1, 1, Infinity]}',
     "tri_big.json": '{"sides": [1e300, 1e300, 1e300]}',
     "tri_top.json": '{"sides": [6e307, 6e307, 6e307]}',
+    "tri_tiny.json": '{"sides": [1e-300, 1e-300, 1e-300]}',
+    "tri_subnormal.json": '{"sides": [1e-320, 2e-320, 3e-320]}',
     "graph.json": '{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 2]]}',
     "graph_nan.json": '{"vertices": ["a", "b"], "edges": [["a", "b", NaN]]}',
     "graph_top.json": (

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import msu
 from msu import cli
 
@@ -79,6 +81,19 @@ def test_union_graph_builds_without_the_shortest_path_engine():
     last = out.splitlines()[-1]
     assert last.startswith("0 [") and "'msu.unions'" in last
     assert "'msu.graphs'" not in last
+
+
+@pytest.mark.parametrize("verb", ["embed", "check"])
+def test_tripod_verbs_load_rays_without_between(verb):
+    out = run_python(
+        "import sys\n"
+        "from msu.cli import main\n"
+        f"code = main(['tripod', '{verb}', 'tests/data/golden/tri345.json'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('msu')))\n"
+    )
+    last = out.splitlines()[-1]
+    assert last.startswith("0 [") and "'msu.rays'" in last
+    assert "'msu.between'" not in last
 
 
 def test_building_the_parser_loads_no_library_module():

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msu
 from conftest import newton_placements
+from msu import rays
 
 RT3 = math.sqrt(3)
 TRIPOD = msu.RaySpace.tripod()
@@ -23,6 +26,10 @@ def tri_dists(tri):
 
 def rel_close(x, y, eps=1e-9):
     return abs(x - y) <= eps * max(1.0, abs(x), abs(y))
+
+
+def scaled(pts, k):
+    return [msu.RayPoint(p.ray, math.ldexp(p.t, k)) for p in pts]
 
 
 def test_triangle_validation():
@@ -73,13 +80,15 @@ def test_fermat_torricelli_flat_rejected():
 
 
 def test_embeds_test_flatness_before_corner_angles():
-    # Sides this small count as flat against the absolute floor of EPS_GEO,
-    # and their products underflow to 0, so no cosine can be taken.
+    # Products of sides this small underflow to 0, so no flatness test or
+    # cosine could be taken in caller units.  In the unit frame the
+    # triangle is an ordinary equilateral one.
     tri = msu.Triangle(1e-300, 1e-300, 1e-300)
-    with pytest.raises(msu.InvalidMetricError):
-        msu.embed_triple_tripod(tri)
-    with pytest.raises(msu.InvalidMetricError):
-        msu.embed_triple_two_rays(tri, 0.5)
+    assert not tri.is_degenerate()
+    for rays, pts in ((TRIPOD, msu.embed_triple_tripod(tri)),
+                      (msu.RaySpace.two_rays(0.5), msu.embed_triple_two_rays(tri, 0.5))):
+        assert all(rel_close(g, math.ldexp(1e-300, 996)) for g in planar_dists(rays, scaled(pts, 996)))
+    assert len(msu.solve_constrained_embedding(tri, TRIPOD)) == 6
 
 
 def test_fermat_torricelli_random_sampling_oracle():
@@ -336,3 +345,160 @@ def test_solver_circumcircle_continuum_has_arc_midpoint():
     tri = on_circle_through_origin(angles, (1.0, 2.0))
     sols = [s for s in msu.solve_constrained_embedding(tri, rays) if [p.ray for p in s] == [0, 1, 2]]
     assert any(rel_close(s[0].t, s[2].t) and rel_close(s[1].t, 2 * math.sqrt(5)) for s in sols)
+
+
+# Properties of the unit frame: a triangle is solved divided by 2^e, so that
+# its longest side lies in [1/2, 1), and its answers are multiplied back.
+
+TWO = msu.RaySpace.two_rays(0.5)
+FOUR = msu.RaySpace((0.0, 0.9, 2.0, 4.1), True)
+
+
+@st.composite
+def triangle_sides(draw):
+    """Sides in [0.1, 10]: two sides and the angle between them, or an
+    exactly flat triple, in any order."""
+    a, b = draw(st.floats(0.1, 5)), draw(st.floats(0.1, 5))
+    if draw(st.booleans()):
+        c = a + b
+    else:
+        gamma = draw(st.floats(0.05, math.pi - 0.05))
+        c = math.sqrt(a * a + b * b - 2 * a * b * math.cos(gamma))
+    return draw(st.permutations([a, b, c]))
+
+
+@st.composite
+def near_flat_sides(draw):
+    """Longest side c in [0.1, 10], the other two short of flat by at most
+    1e-9 * c, in any order."""
+    c = draw(st.floats(0.1, 10))
+    a = c * draw(st.floats(0.01, 0.99))
+    b = c - a + c * draw(st.floats(0, 1e-9))
+    return draw(st.permutations([a, b, c]))
+
+
+def frame_of(tri):
+    return rays._frame(rays._pair_distances(tri))
+
+
+def fermat_or_none(tri):
+    try:
+        return msu.fermat_torricelli(tri)
+    except msu.DegenerateTriangleError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triangle_sides(), st.sampled_from((20, -20, 40, -40, 300, -300)), st.integers(0, 3), st.floats(0.1, 5)
+)
+def test_prop_ray_answers_scale_with_the_triangle(sides, k, ray, t):
+    tri, big = msu.Triangle(*sides), msu.Triangle(*(math.ldexp(s, k) for s in sides))
+    ft = fermat_or_none(tri)
+    if ft is not None:
+        ft = msu.FTResult(
+            ft.location, ft.distances and tuple(math.ldexp(r, k) for r in ft.distances),
+            ft.vertex, math.ldexp(ft.total_cost, k),
+        )
+    assert repr(fermat_or_none(big)) == repr(ft)
+    assert repr(msu.embed_triple_tripod(big)) == repr(scaled(msu.embed_triple_tripod(tri), k))
+    # The start of a flat triple off the origin, 0.5 or twice the solver's
+    # tol, is in caller units, so there the offsets from it scale, down to
+    # the resolution limit of the README (longest sides near 1e-8; 2^-40 is
+    # below it).
+    flat = tri.is_degenerate()
+    tol = math.ldexp(msu.SOLVER_TOL, k)
+    for space in (TRIPOD, TWO, FOUR):
+        forbid = [msu.RayPoint(ray % len(space.angles), t)]
+        for f in ([], forbid):
+            unit = msu.solve_constrained_embedding(tri, space, f)
+            got = msu.solve_constrained_embedding(big, space, scaled(f, k), tol=tol)
+            if not (flat and not space.include_origin):
+                assert repr(got) == repr([scaled(sol, k) for sol in unit])
+            elif k >= -20 and not f:
+                assert len(got) == len(unit)
+                for sol_big, sol in zip(got, unit):
+                    assert_offsets_scale(sol_big, max(0.5, 2 * tol), sol, 0.5, k)
+    for alpha in (0.5, 1.2):
+        unit = msu.embed_triple_two_rays(tri, alpha)
+        try:
+            got = msu.embed_triple_two_rays(big, alpha)
+        except msu.InternalCheckError:
+            assert flat and k < -20
+            continue
+        if flat:
+            assert_offsets_scale(got, 0.5, unit, 0.5, k)
+        else:
+            assert repr(got) == repr(unit and scaled(unit, k))
+
+
+def assert_offsets_scale(got, start, unit, unit_start, k):
+    for p, q in zip(got, unit, strict=True):
+        assert p.ray == q.ray
+        assert math.isclose(p.t - start, math.ldexp(q.t - unit_start, k), rel_tol=1e-12, abs_tol=1e-15)
+
+
+def frame_points(tri, pts):
+    return scaled(pts, -frame_of(tri)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_flat_sides())
+def test_prop_near_flat_triangles_are_answered(sides):
+    check_near_flat(msu.Triangle(*sides))
+
+
+def test_exact_near_flat_triangle_is_answered():
+    check_near_flat(msu.load_triangle({"sides": ["1", "1", "1999999999/1000000000"]}))
+
+
+def check_near_flat(tri):
+    # The tripod hosts every triangle, so its solver never answers "no".
+    pair = frame_of(tri)[0]
+    assert msu.solve_constrained_embedding(tri, TRIPOD)
+    for space in (TRIPOD, TWO):
+        for sol in msu.solve_constrained_embedding(tri, space):
+            assert rays._distances_ok(space, frame_points(tri, sol), pair, msu.EPS_GEO)
+    msu.embed_triple_tripod(tri)
+    msu.embed_triple_two_rays(tri, 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(triangle_sides(), near_flat_sides()), st.sampled_from((0.3, 0.5, 1.2)))
+def test_prop_solver_lists_every_embed_placement(sides, alpha):
+    tri = msu.Triangle(*sides)
+    e = frame_of(tri)[1]
+    for space, pts in ((TRIPOD, msu.embed_triple_tripod(tri)),
+                       (msu.RaySpace.two_rays(alpha), msu.embed_triple_two_rays(tri, alpha))):
+        if pts is None:
+            continue
+        assert any(
+            all(p.ray == q.ray and abs(p.t - q.t) <= math.ldexp(1e-6, e) for p, q in zip(pts, sol))
+            for sol in msu.solve_constrained_embedding(tri, space)
+        ), (space, pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(triangle_sides(), near_flat_sides()))
+def test_prop_flat_exactly_when_the_flat_layout_checks_out(sides):
+    tri = msu.Triangle(*sides)
+    pair = frame_of(tri)[0]
+    layout = [msu.RayPoint(0, t) for t in rays._flat_layout(pair)]
+    assert tri.is_degenerate() == rays._distances_ok(TRIPOD, layout, pair, msu.EPS_GEO)
+    if tri.is_degenerate():
+        # The closed form lays the triple out as line_realization does.
+        d01, d02, d12 = pair
+        matrix = [[0.0, d01, d02], [d01, 0.0, d12], [d02, d12, 0.0]]
+        line = msu.line_realization(msu.validate_space(matrix))
+        lo = min(line.coords)
+        assert tuple(float(t - lo) for t in line.coords) == rays._flat_layout(pair)
+
+
+def test_a_nan_coordinate_fails_the_distance_check():
+    pair = frame_of(msu.Triangle(1, 1, 1))[0]
+    pts = [msu.RayPoint(v, math.sqrt(1 / 3) / 2) for v in range(3)]
+    assert rays._distances_ok(TRIPOD, pts, pair, msu.EPS_GEO)
+    for v in range(3):
+        bad = list(pts)
+        bad[v] = msu.RayPoint(v, math.nan)
+        assert not rays._distances_ok(TRIPOD, bad, pair, msu.EPS_GEO)
